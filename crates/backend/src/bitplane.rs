@@ -198,7 +198,7 @@ impl BitPlaneVrf {
     }
 
     /// Direct access to the flat plane storage, for the fused
-    /// ensemble-trace executor (`compiled::run_ops_fast`), which has
+    /// fused-segment executor (`compiled::run_ops_fast`), which has
     /// statically discharged all [`Self::finish_write`] bookkeeping.
     #[inline]
     pub(crate) fn storage_mut(&mut self) -> &mut [u64] {
@@ -421,6 +421,17 @@ impl BitPlaneVrf {
         let base = self.plane_index(plane) * self.words;
         self.storage[base..base + self.words].copy_from_slice(words);
         self.finish_write(base);
+    }
+
+    /// `GETMASK`: copies the mask plane into bit 0 of `reg` and clears
+    /// bits 1..63, with lane masking suspended so every lane is written.
+    pub fn copy_mask_to(&mut self, reg: u8) {
+        self.set_mask_enabled(false);
+        self.copy_plane(Plane::Mask, Plane::Reg { reg, bit: 0 });
+        for bit in 1..DATA_BITS as u8 {
+            self.fill_plane(Plane::Reg { reg, bit }, false);
+        }
+        self.set_mask_enabled(true);
     }
 
     /// Temporarily disables lane masking (control-path `GETMASK` path).

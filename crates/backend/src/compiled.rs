@@ -108,7 +108,7 @@ impl CompiledRecipe {
         self.mix
     }
 
-    /// The resolved op sequence (ensemble-trace fusion concatenates these).
+    /// The resolved op sequence (fused body segments run these in turn).
     pub(crate) fn ops(&self) -> &[CompiledOp] {
         &self.ops
     }
@@ -263,7 +263,7 @@ pub(crate) fn run(vrf: &mut BitPlaneVrf, recipe: &CompiledRecipe) {
 }
 
 /// Executes a slice of resolved ops — the shared word-loop core of both
-/// [`run`] and the fused ensemble-trace tier, so every execution path
+/// [`run`] and fused body segments, so every execution path
 /// performs the identical plane writes (and fault-site draws) in the
 /// identical order.
 pub(crate) fn run_ops(vrf: &mut BitPlaneVrf, ops: &[CompiledOp]) {
@@ -414,10 +414,10 @@ fn op3_fast(
 }
 
 /// Executes a slice of resolved ops with every [`BitPlaneVrf`] post-write
-/// bookkeeping step statically discharged — the ensemble-trace fast path.
+/// bookkeeping step statically discharged — the fused-segment fast path.
 ///
 /// The caller must have proven (the fuser records this as
-/// [`crate::EnsembleTrace`]'s fast flag, re-checked per VRF at replay):
+/// [`crate::BodySegment::fast`], re-checked per VRF at replay):
 ///
 /// * `lanes % 64 == 0` — no padding bits to re-zero after a write;
 /// * no op in the stream writes the mask plane — the cached mask popcount
@@ -428,29 +428,33 @@ fn op3_fast(
 /// Under those conditions `finish_write` is a no-op for every single op,
 /// so this loop performs the *identical* plane writes as [`run_ops`] —
 /// byte-identical storage afterwards — while touching only the operand
-/// words.
-pub(crate) fn run_ops_fast(vrf: &mut BitPlaneVrf, ops: &[CompiledOp]) {
+/// words. With `full` (every lane enabled) each mask merge is the
+/// identity, so masked writes run unmerged.
+pub(crate) fn run_ops_fast(vrf: &mut BitPlaneVrf, ops: &[CompiledOp], full: bool) {
     debug_assert!(vrf.fault_model().is_none(), "fast path excludes fault models");
     debug_assert!(vrf.mask_enabled(), "fast path requires mask-honouring enabled");
     debug_assert_eq!(vrf.lanes() % 64, 0, "fast path requires no padding bits");
+    debug_assert!(!full || vrf.mask_lanes() == vrf.lanes(), "full means every lane enabled");
     let words = vrf.words();
     let mask = vrf.mask_base();
     let st = vrf.storage_mut();
     // Single-word planes (64-lane VRFs, e.g. RACER) are the hottest
-    // geometry; the literal-1 call lets the word loops constant-fold away.
-    if words == 1 {
-        run_ops_fast_inner(st, 1, mask, ops);
-    } else {
-        run_ops_fast_inner(st, words, mask, ops);
+    // geometry; the literal arguments let the word loops and the merge
+    // tests constant-fold away.
+    match (words, full) {
+        (1, true) => run_ops_fast_inner(st, 1, mask, ops, false),
+        (1, false) => run_ops_fast_inner(st, 1, mask, ops, true),
+        (_, true) => run_ops_fast_inner(st, words, mask, ops, false),
+        (_, false) => run_ops_fast_inner(st, words, mask, ops, true),
     }
 }
 
 #[inline(always)]
-fn run_ops_fast_inner(st: &mut [u64], words: usize, mask: usize, ops: &[CompiledOp]) {
+fn run_ops_fast_inner(st: &mut [u64], words: usize, mask: usize, ops: &[CompiledOp], merge: bool) {
     for op in ops {
         match *op {
             CompiledOp::Op2 { func, a, b, out, masked } => {
-                let (a, b, out) = (a as usize, b as usize, out as usize);
+                let (a, b, out, masked) = (a as usize, b as usize, out as usize, masked && merge);
                 match func {
                     Func2::Nor => op2_fast(st, words, mask, a, b, out, masked, |x, y| !(x | y)),
                     Func2::NotA => op2_fast(st, words, mask, a, b, out, masked, |x, _| !x),
@@ -461,6 +465,7 @@ fn run_ops_fast_inner(st: &mut [u64], words: usize, mask: usize, ops: &[Compiled
             }
             CompiledOp::Maj { a, b, c, out, masked } => {
                 let (a, b, c, out) = (a as usize, b as usize, c as usize, out as usize);
+                let masked = masked && merge;
                 op3_fast(st, words, mask, a, b, c, out, masked, |x, y, z| {
                     (x & y) | (y & z) | (x & z)
                 });
@@ -468,6 +473,7 @@ fn run_ops_fast_inner(st: &mut [u64], words: usize, mask: usize, ops: &[Compiled
             CompiledOp::FullAdd { a, b, carry, sum, latch, carry_masked, sum_masked } => {
                 let (a, b, carry, sum, latch) =
                     (a as usize, b as usize, carry as usize, sum as usize, latch as usize);
+                let (carry_masked, sum_masked) = (carry_masked && merge, sum_masked && merge);
                 // Same three plane writes, in the same order, as run_ops.
                 op3_fast(st, words, mask, a, b, carry, latch, false, |x, y, z| x ^ y ^ z);
                 op3_fast(st, words, mask, a, b, carry, carry, carry_masked, |x, y, z| {
@@ -477,7 +483,7 @@ fn run_ops_fast_inner(st: &mut [u64], words: usize, mask: usize, ops: &[Compiled
             }
             CompiledOp::Copy { a, out, masked } => {
                 let (a, out) = (a as usize, out as usize);
-                if masked {
+                if masked && merge {
                     op2_fast(st, words, mask, a, a, out, true, |x, _| x);
                 } else if a != out {
                     for w in 0..words {
@@ -488,7 +494,7 @@ fn run_ops_fast_inner(st: &mut [u64], words: usize, mask: usize, ops: &[Compiled
             CompiledOp::Fill { out, masked, value } => {
                 let out = out as usize;
                 let word = if value { !0u64 } else { 0u64 };
-                if masked {
+                if masked && merge {
                     for w in 0..words {
                         let m = st[mask + w];
                         st[out + w] = (word & m) | (st[out + w] & !m);
@@ -499,13 +505,14 @@ fn run_ops_fast_inner(st: &mut [u64], words: usize, mask: usize, ops: &[Compiled
             }
             CompiledOp::Lut { a, b, c, out, table, masked } => {
                 let (a, b, c, out) = (a as usize, b as usize, c as usize, out as usize);
+                let masked = masked && merge;
                 op3_fast(st, words, mask, a, b, c, out, masked, |x, y, z| {
                     lut3_word(table, x, y, z)
                 });
             }
             CompiledOp::Word { .. } => {
                 // Word ops need the whole VRF (transpose reads/writes), so
-                // the fuser never marks traces containing them as fast.
+                // the fuser never marks segments containing them as fast.
                 unreachable!("word-serial ops are excluded from the fast path")
             }
         }

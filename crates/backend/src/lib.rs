@@ -90,7 +90,7 @@ pub use logic::{GateBuilder, LogicFamily};
 pub use microop::{lut3_word, word_kind, MicroOp, MicroOpKind};
 pub use opt::{optimize, OptConfig, OptRule, OptStats, RuleStats};
 pub use recipe::{build_recipe, semantics, Recipe, RecipeCtx};
-pub use trace_tier::{fuse_ensemble, fuse_ensemble_with, EnsembleStep, EnsembleTrace};
+pub use trace_tier::{fuse_segment, fuse_segment_with, segment_len, BodySegment, SegmentStep};
 
 /// Bits per vector data element (mirrors [`mpu_isa::DATA_BITS`]).
 pub const DATA_BITS: u32 = mpu_isa::DATA_BITS;

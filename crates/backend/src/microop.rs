@@ -240,17 +240,19 @@ pub fn word_kind(instr: &Instruction) -> MicroOpKind {
 /// Word-parallel evaluation of a 3-input LUT over packed lane bits: lane
 /// `i` of the result is `table[x_i | y_i<<1 | z_i<<2]`. This is the exact
 /// per-lane semantics of a pLUTo LUT-row query, vectorized over 64 lanes.
+///
+/// Branch-free Shannon expansion: each truth-table bit is broadcast to a
+/// whole-word mask, four `x`-muxes pick between the entries that differ
+/// only in `x`, then a `y`-mux and a `z`-mux select among those.
+#[inline]
 pub fn lut3_word(table: u8, x: u64, y: u64, z: u64) -> u64 {
-    let mut out = 0u64;
-    for idx in 0..8 {
-        if table >> idx & 1 == 0 {
-            continue;
-        }
-        out |= (if idx & 1 != 0 { x } else { !x })
-            & (if idx & 2 != 0 { y } else { !y })
-            & (if idx & 4 != 0 { z } else { !z });
-    }
-    out
+    let entry = |idx: u8| 0u64.wrapping_sub(u64::from(table >> idx & 1));
+    let mux = |s: u64, if0: u64, if1: u64| if0 ^ (s & (if0 ^ if1));
+    let y0z0 = mux(x, entry(0), entry(1));
+    let y1z0 = mux(x, entry(2), entry(3));
+    let y0z1 = mux(x, entry(4), entry(5));
+    let y1z1 = mux(x, entry(6), entry(7));
+    mux(z, mux(y, y0z0, y1z0), mux(y, y0z1, y1z1))
 }
 
 impl MicroOp {
@@ -433,7 +435,7 @@ fn word_out_plane(instr: &Instruction) -> Plane {
 /// ([`crate::recipe::semantics`] — the same functions the reference model
 /// uses), and write the results back under the lane mask.
 ///
-/// Both the interpreted and compiled tiers call this same function, so the
+/// Both the interpreted and compiled paths call this same function, so the
 /// DPU path is byte-identical across tiers by construction. The single
 /// per-op fault draw is made by the caller ([`MicroOp::apply`] /
 /// `compiled::run_ops`) against [`MicroOp::writes`]'s primary target.
@@ -519,6 +521,39 @@ mod tests {
         let got = v.plane_words(s(2))[0] & 0b1111;
         // NOR: only lane 0 (a=0, b=0) yields 1.
         assert_eq!(got, 0b0001);
+    }
+
+    /// The minterm form `lut3_word` replaced: OR over the set table
+    /// entries of the product selecting that entry's lanes.
+    fn lut3_minterms(table: u8, x: u64, y: u64, z: u64) -> u64 {
+        let mut out = 0u64;
+        for idx in 0..8 {
+            if table >> idx & 1 == 0 {
+                continue;
+            }
+            out |= (if idx & 1 != 0 { x } else { !x })
+                & (if idx & 2 != 0 { y } else { !y })
+                & (if idx & 4 != 0 { z } else { !z });
+        }
+        out
+    }
+
+    #[test]
+    fn lut3_word_matches_the_minterm_reference_for_every_table() {
+        let mut rng = crate::fault::FaultPrng::new(0x1a7_c0de);
+        let words: Vec<[u64; 3]> = (0..64)
+            .map(|_| [rng.next_draw(), rng.next_draw(), rng.next_draw()])
+            .chain([[0, 0, 0], [!0, !0, !0], [0x5555, 0x3333, 0x0f0f]])
+            .collect();
+        for table in 0..=255u8 {
+            for &[x, y, z] in &words {
+                assert_eq!(
+                    lut3_word(table, x, y, z),
+                    lut3_minterms(table, x, y, z),
+                    "table {table:#04x} on ({x:#x}, {y:#x}, {z:#x})"
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! does, so kernels pay for dead planes, redundant copies, and uncollapsed
 //! NOR/MAJ chains on every thermal wave. This module rewrites a synthesized
 //! [`Recipe`] once, at synthesis time — before compilation
-//! ([`crate::CompiledRecipe`]) and fusion ([`crate::EnsembleTrace`]), and
+//! ([`crate::CompiledRecipe`]) and fusion ([`crate::BodySegment`]), and
 //! cached through the simulator's recipe cache/pool — so the cost is paid
-//! per template miss, not per wave, and all three execution tiers run the
+//! per template miss, not per wave, and every execution path runs the
 //! optimized form.
 //!
 //! # Rule families
@@ -61,7 +61,8 @@
 //! # Memo-key semantics
 //!
 //! [`OptConfig`] is embedded in [`crate::RecipeCtx`], which keys every
-//! recipe memo (per-MPU cache, shared pool, compiled and trace tiers), so
+//! recipe memo (per-MPU cache, shared pool, compiled recipes and fused
+//! body segments), so
 //! toggling optimization or individual rules can never serve a stale
 //! recipe optimized under a different configuration.
 
@@ -163,7 +164,7 @@ impl OptRule {
 ///
 /// Carried inside [`crate::RecipeCtx`] and therefore part of every recipe
 /// memo key: flipping any field invalidates cached recipes, compiled
-/// recipes, and ensemble traces built under the old configuration.
+/// recipes, and body segments fused under the old configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct OptConfig {
     /// Master switch. When `false` the optimizer is the identity transform

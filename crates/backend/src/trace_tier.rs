@@ -1,72 +1,84 @@
-//! The ensemble trace tier: a straight-line compute-ensemble body fused
-//! into one flat, branch-free sequence of resolved word-loop ops plus
-//! precomputed cost annotations.
+//! The pre-decoded form of a compute-ensemble body: each straight-line
+//! segment resolved to its compiled recipes plus precomputed cost
+//! annotations.
 //!
 //! [`crate::CompiledRecipe`] removed per-micro-op plane resolution, but
-//! the simulator still pays per-instruction overhead on every thermal-wave
-//! replay: a recipe-cache probe, three cost-model walks over the micro-op
-//! list (`recipe_cycles`, `recipe_stage_cycles`, `recipe_energy_pj` — each
-//! a `BTreeMap` lookup per op), and the fetch/dispatch loop itself. For a
-//! RACER `ADD` that is ~3×641 map walks per wave to move 64 lanes — the
-//! cost model dominates the word arithmetic.
+//! executing a body one instruction at a time still pays, per instruction
+//! and per wave pass, three cost-model walks over the micro-op list
+//! (`recipe_cycles`, `recipe_stage_cycles`, `recipe_energy_pj` — each a
+//! `BTreeMap` lookup per op) plus the fetch/dispatch loop. For a RACER
+//! `ADD` that is ~3×641 map walks per wave to move 64 lanes — the cost
+//! model dominates the word arithmetic.
 //!
-//! [`fuse_ensemble`] hoists all of it to synthesis time. A straight-line
-//! body (compute instructions, mask writes, and NOPs, with no
-//! data-dependent control flow) becomes an [`EnsembleTrace`]:
+//! [`fuse_segment_with`] hoists all of it to synthesis time. A body is
+//! split only at its control transfers (`JUMP_COND`, `JUMP`, `RETURN`) and
+//! its `COMPUTE_DONE`; every piece in between (compute instructions, mask
+//! writes and readouts, NOPs) becomes a [`BodySegment`]:
 //!
-//! * every instruction's compiled ops concatenated into one flat vector,
-//!   executed by the same word-loop core as [`crate::CompiledRecipe`]
-//!   (so plane writes and fault-site draws are byte-identical);
-//! * per-step issue cycles precomputed, including the bit-pipelining
-//!   schedule — within a wave the first compute instruction pays serial
-//!   latency and later ones their stage time, which is statically known
-//!   for a straight-line body;
-//! * per-op energy coefficients (pJ per lane) stored flat, so runtime
-//!   energy is `Σ coeff × enabled_lanes` in the original op order —
-//!   bit-identical f64 accumulation to the cost model's per-recipe sum —
-//!   with the full-mask total precomputed for the common case.
+//! * each compute step holds its instruction's shared, already compiled
+//!   recipe — no op is copied — and a run of steps between mask writes
+//!   executes in one pass per VRF through the same word-loop core as
+//!   [`crate::CompiledRecipe`] (so plane writes are byte-identical);
+//! * per-step issue cycles precomputed for both pipeline states — a
+//!   compute step pays serial latency when it is the first of its wave
+//!   pass and stage time otherwise on bit-pipelined backends, and which
+//!   one applies to a segment's first compute step depends on the control
+//!   path that reached it;
+//! * per-step energy with every lane enabled precomputed, and the per-lane
+//!   energy of each micro-op kind tabulated, so partial-mask energy is
+//!   `Σ coeff × enabled_lanes` over the recipe's micro-ops in order —
+//!   bit-identical f64 accumulation to the cost model's sum.
 //!
-//! The trace is a pure function of `(recipe context, encoded body,
+//! A segment is a pure function of `(recipe context, encoded segment,
 //! geometry)` and is cached by the simulator's recipe pool/cache under
 //! exactly that key. It carries *costs*, not charges: the simulator
-//! replays the steps and applies the identical `Stats` mutations the
-//! per-instruction tiers would, so architectural counters never depend on
-//! which tier executed a body.
+//! replays the steps and applies the `Stats` mutations per-instruction
+//! execution would, so architectural counters never depend on how a
+//! segment was stepped.
 
 use crate::bitplane::{BitPlaneVrf, SCRATCH_PLANES};
 use crate::compiled::{self, CompiledOp, CompiledRecipe};
 use crate::datapath::DatapathModel;
+use crate::microop::MicroOpKind;
 use crate::recipe::Recipe;
 use crate::DATA_BITS;
 use mpu_isa::{Instruction, RegId};
 use std::ops::Range;
 use std::sync::Arc;
 
-/// One body instruction of a fused ensemble trace.
+/// One body instruction of a fused [`BodySegment`].
 #[derive(Debug, Clone)]
-pub enum EnsembleStep {
-    /// A compute instruction: its fused ops plus precomputed costs.
+pub enum SegmentStep {
+    /// A compute instruction: its compiled recipe plus precomputed costs.
     Compute {
         /// The source instruction (recipe-cache accounting, mnemonics).
         instr: Instruction,
-        /// Issue cycles for this step's position in the body: serial
-        /// latency for the first compute instruction of a wave, stage
-        /// time for later ones on bit-pipelined backends.
-        cycles: u64,
+        /// The instruction's recipe (partial-mask energy walks its ops),
+        /// shared with the recipe memo.
+        recipe: Arc<Recipe>,
+        /// The recipe's compiled form, shared with the recipe memo.
+        compiled: Arc<CompiledRecipe>,
+        /// Issue cycles when this is the first compute instruction of a
+        /// wave pass (the pipeline is empty): the recipe's serial latency.
+        serial: u64,
+        /// Issue cycles with the bit pipeline warm: the recipe's stage
+        /// time on bit-pipelined backends, its serial latency otherwise.
+        warm: u64,
         /// Micro-op count of the underlying recipe.
         uops: u32,
         /// Micro-ops the recipe optimizer removed from this step's recipe
-        /// ([`crate::Recipe::saved_uops`]), carried so the fused tier
-        /// charges the same `uops_saved` statistics as the other tiers.
+        /// ([`crate::Recipe::saved_uops`]).
         saved: u32,
-        /// This step's slice of [`EnsembleTrace`]'s flat op vector.
-        ops: Range<u32>,
-        /// This step's slice of the flat per-op energy coefficients.
-        coeffs: Range<u32>,
         /// Recipe energy with every lane enabled (the common case),
         /// precomputed by the same per-op summation the partial-mask
         /// path performs at runtime.
         energy_full_pj: f64,
+    },
+    /// `GETMASK rd`: the mask plane copied into bit 0 of `rd`, bits 1..63
+    /// cleared (see [`BitPlaneVrf::copy_mask_to`]).
+    GetMask {
+        /// Destination register.
+        rd: RegId,
     },
     /// `SETMASK rs`: load the lane mask from a register (or `COND`).
     SetMask {
@@ -79,117 +91,88 @@ pub enum EnsembleStep {
     Nop,
 }
 
-/// A compute-ensemble body fused into a flat, branch-free word-loop
-/// program over the VRF storage buffer, with all cost-model work
-/// precomputed. Built by [`fuse_ensemble`]; executed step-by-step via
-/// [`EnsembleTrace::run_step`] / [`EnsembleTrace::step_energy_pj`].
+impl SegmentStep {
+    /// True for the steps that write the mask plane (`SETMASK`,
+    /// `UNMASK`); every other step leaves it — and with it each VRF's
+    /// enabled-lane count — unchanged.
+    pub fn writes_mask(&self) -> bool {
+        matches!(self, SegmentStep::SetMask { .. } | SegmentStep::Unmask)
+    }
+}
+
+/// A straight-line segment of a compute-ensemble body, decoded once: the
+/// steps with their compiled recipes and precomputed costs. Built by
+/// [`fuse_segment_with`]; executed with [`BodySegment::run_steps`] and
+/// costed with [`BodySegment::step_energy_pj`].
 #[derive(Debug, Clone)]
-pub struct EnsembleTrace {
-    steps: Vec<EnsembleStep>,
-    ops: Vec<CompiledOp>,
-    coeffs: Vec<f64>,
+pub struct BodySegment {
+    steps: Vec<SegmentStep>,
+    /// Per-lane energy (pJ) of each micro-op kind the steps issue, by
+    /// [`MicroOpKind::index`].
+    coeff: [f64; MicroOpKind::ALL.len()],
     lanes: usize,
     regs: usize,
-    /// Fusion proved every post-write bookkeeping step is a no-op for this
-    /// op stream (`lanes % 64 == 0`, no mask-plane writes), so fault-free
-    /// replay may use the bookkeeping-free word loop
-    /// (`compiled::run_ops_fast`).
+    /// No compute step's ops write the mask plane.
+    batch: bool,
+    /// `batch`, plus every post-write bookkeeping step is a no-op for these
+    /// ops (`lanes % 64 == 0`, no word-serial ops), so fault-free replay
+    /// may use the bookkeeping-free word loop (`compiled::run_ops_fast`).
     fast: bool,
 }
 
-impl EnsembleTrace {
-    /// The fused body steps, in program order (the terminating
-    /// `COMPUTE_DONE` is not a step).
-    pub fn steps(&self) -> &[EnsembleStep] {
+impl BodySegment {
+    /// The decoded steps, in program order.
+    pub fn steps(&self) -> &[SegmentStep] {
         &self.steps
     }
 
-    /// Lane count the trace was fused for.
-    pub fn lanes(&self) -> usize {
-        self.lanes
+    /// True when no step except `SETMASK`/`UNMASK` writes the mask plane.
+    /// Every VRF's lane mask — and with it every step's enabled count — is
+    /// then invariant across a run of steps between mask writes, so the
+    /// run can be accounted step by step and executed as one
+    /// [`Self::run_steps`] pass per VRF.
+    pub fn batch(&self) -> bool {
+        self.batch
     }
 
-    /// Architectural register count the trace was fused for.
-    pub fn regs(&self) -> usize {
-        self.regs
-    }
-
-    /// Total fused micro-ops across all compute steps.
-    pub fn fused_ops(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// True when fusion proved the op stream never writes the mask plane
-    /// and the geometry has no padding bits. Replay may then batch a
-    /// contiguous run of compute steps into one word-loop pass per VRF
-    /// (the lane mask — and with it every step's enabled count — is
-    /// invariant across the run) and use the bookkeeping-free fast loop.
+    /// True when [`Self::batch`] holds and the bookkeeping-free fast word
+    /// loop is sound for these ops (no padding bits, no word-serial ops).
     pub fn fast(&self) -> bool {
         self.fast
     }
 
-    /// Executes the fused ops of a contiguous range of *compute* steps
-    /// over one VRF in a single word-loop pass — the batched form of
-    /// calling [`Self::run_step`] once per step, byte-identical to it
-    /// (the per-step op slices are adjacent in the flat op vector).
+    /// Executes a contiguous range of steps over one VRF in a single pass
+    /// — byte-identical to executing each step in turn, and keeping the
+    /// VRF's storage cache-resident across the steps. `NOP`s are skipped.
+    ///
+    /// On the fast loop a VRF whose lane mask is full runs every masked
+    /// write unmerged: the range holds no mask write, so the mask stays
+    /// full throughout and each merge would be the identity.
     ///
     /// # Panics
     ///
-    /// Panics if the range is empty, contains a non-compute step, or the
-    /// VRF geometry differs from the trace's.
+    /// Panics if the range contains a mask-writing step, or the VRF
+    /// geometry differs from the segment's.
     pub fn run_steps(&self, range: Range<usize>, vrf: &mut BitPlaneVrf) {
         assert_eq!(
             (self.lanes, self.regs),
             (vrf.lanes(), vrf.regs()),
-            "ensemble trace targets a different VRF geometry"
+            "body segment targets a different VRF geometry"
         );
-        let compute_ops = |i: usize| match &self.steps[i] {
-            EnsembleStep::Compute { ops, .. } => ops.clone(),
-            step => panic!("run_steps spans a non-compute step: {step:?}"),
-        };
-        let start = compute_ops(range.start).start as usize;
-        let end = compute_ops(range.end - 1).end as usize;
-        debug_assert!(range.clone().all(|i| matches!(self.steps[i], EnsembleStep::Compute { .. })));
-        let ops = &self.ops[start..end];
-        if self.fast && vrf.fault_model().is_none() && vrf.mask_enabled() {
-            compiled::run_ops_fast(vrf, ops);
-        } else {
-            compiled::run_ops(vrf, ops);
-        }
-    }
-
-    /// Executes one step's fused ops over a VRF (no-op for non-compute
-    /// steps — their plane effects are the control path's business).
-    ///
-    /// Replay assumes the ensemble-start invariant the simulator
-    /// establishes before the first step: the lane mask is full. Fusion
-    /// statically tracks the mask from that state (`SETMASK` makes it
-    /// unknown, `UNMASK` restores it), which is what lets known-full mask
-    /// merges be dropped at fuse time.
-    ///
-    /// When fusion proved the bookkeeping-free fast loop sound and the VRF
-    /// is fault-free with mask-honouring enabled, the step runs through
-    /// [`compiled::run_ops_fast`]; otherwise through the general word-loop
-    /// core. Both perform the identical plane writes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vrf` has a different geometry than the trace was fused
-    /// for, mirroring [`BitPlaneVrf::run_compiled`].
-    pub fn run_step(&self, step: &EnsembleStep, vrf: &mut BitPlaneVrf) {
-        let EnsembleStep::Compute { ops, .. } = step else {
-            return;
-        };
-        assert_eq!(
-            (self.lanes, self.regs),
-            (vrf.lanes(), vrf.regs()),
-            "ensemble trace targets a different VRF geometry"
-        );
-        let ops = &self.ops[ops.start as usize..ops.end as usize];
-        if self.fast && vrf.fault_model().is_none() && vrf.mask_enabled() {
-            compiled::run_ops_fast(vrf, ops);
-        } else {
-            compiled::run_ops(vrf, ops);
+        let fast = self.fast && vrf.fault_model().is_none() && vrf.mask_enabled();
+        let full = vrf.mask_lanes() == vrf.lanes();
+        for step in &self.steps[range] {
+            match step {
+                SegmentStep::Compute { compiled, .. } if fast => {
+                    compiled::run_ops_fast(vrf, compiled.ops(), full)
+                }
+                SegmentStep::Compute { compiled, .. } => compiled::run_ops(vrf, compiled.ops()),
+                SegmentStep::GetMask { rd } => vrf.copy_mask_to(rd.0 as u8),
+                SegmentStep::Nop => {}
+                SegmentStep::SetMask { .. } | SegmentStep::Unmask => {
+                    panic!("run_steps spans a mask write")
+                }
+            }
         }
     }
 
@@ -198,8 +181,8 @@ impl EnsembleTrace {
     /// coefficient sum in original op order — the same f64 additions, in
     /// the same order, as [`DatapathModel::recipe_energy_pj`], so the
     /// result is bit-identical. Zero for non-compute steps.
-    pub fn step_energy_pj(&self, step: &EnsembleStep, enabled: usize) -> f64 {
-        let EnsembleStep::Compute { coeffs, energy_full_pj, .. } = step else {
+    pub fn step_energy_pj(&self, step: &SegmentStep, enabled: usize) -> f64 {
+        let SegmentStep::Compute { recipe, energy_full_pj, .. } = step else {
             return 0.0;
         };
         if enabled == self.lanes {
@@ -207,113 +190,124 @@ impl EnsembleTrace {
         }
         let lanes = enabled as f64;
         let mut pj = 0.0;
-        for &coeff in &self.coeffs[coeffs.start as usize..coeffs.end as usize] {
-            pj += coeff * lanes;
+        for op in recipe.ops() {
+            pj += self.coeff[op.kind().index()] * lanes;
         }
         pj
     }
 }
 
-/// Fuses a straight-line ensemble body into an [`EnsembleTrace`],
+/// Length of the longest prefix of `body` made of instructions a segment
+/// can hold: compute instructions, `GETMASK`, `SETMASK`, `UNMASK` and
+/// `NOP`. Control transfers, `COMPUTE_DONE` and anything that does not
+/// belong in a body end it.
+pub fn segment_len(body: &[Instruction]) -> usize {
+    body.iter()
+        .take_while(|instr| {
+            is_compute(instr)
+                || matches!(
+                    instr,
+                    Instruction::GetMask { .. }
+                        | Instruction::SetMask { .. }
+                        | Instruction::Unmask
+                        | Instruction::Nop
+                )
+        })
+        .count()
+}
+
+/// True for the instructions that lower to a recipe.
+fn is_compute(instr: &Instruction) -> bool {
+    matches!(
+        instr,
+        Instruction::Binary { .. }
+            | Instruction::Unary { .. }
+            | Instruction::Compare { .. }
+            | Instruction::Fuzzy { .. }
+            | Instruction::Cas { .. }
+            | Instruction::Init { .. }
+    )
+}
+
+/// Decodes the longest fusable prefix of `body` into a [`BodySegment`],
 /// resolving each compute instruction to its `(recipe, compiled)` pair
-/// via `synth` (the simulator passes its recipe pool here so fusion
-/// concatenates exactly the already-compiled templates the
-/// per-instruction tiers would execute — including deliberately corrupted
-/// preloads — without re-synthesizing or re-compiling anything). Returns
-/// `None` if any instruction is outside the fusable set: compute classes,
-/// `SETMASK`, `UNMASK`, and `NOP`. Control transfers (`JUMP`,
-/// `JUMP_COND`, `RETURN`) and the mid-body mask readout (`GETMASK`) are
-/// data-dependent and must take the slow path.
-pub fn fuse_ensemble_with(
+/// via `synth` (the simulator passes its recipe pool here, so a segment
+/// shares exactly the already-compiled templates per-instruction
+/// execution would run — including deliberately corrupted preloads —
+/// without re-synthesizing, re-compiling or copying anything).
+///
+/// Fusion stops before the first instruction outside [`segment_len`]'s
+/// set, the first compute instruction `synth` has no recipe for, and the
+/// first `GETMASK` naming a register the geometry lacks; the simulator
+/// executes that instruction per-instruction, where it reports its error.
+/// The result may therefore have fewer steps than `body`, or none.
+pub fn fuse_segment_with(
     datapath: &DatapathModel,
     body: &[Instruction],
     mut synth: impl FnMut(&DatapathModel, &Instruction) -> Option<(Arc<Recipe>, Arc<CompiledRecipe>)>,
-) -> Option<EnsembleTrace> {
+) -> BodySegment {
     let g = datapath.geometry();
     let (lanes, regs) = (g.lanes_per_vrf, g.regs_per_vrf);
-    let pipelined = datapath.bit_pipelined();
     let mut steps = Vec::with_capacity(body.len());
-    let mut ops: Vec<CompiledOp> = Vec::new();
-    let mut coeffs: Vec<f64> = Vec::new();
-    // Mirrors the interpreter's per-wave `pipeline_warm` flag: for a
-    // straight-line body the warm/cold schedule is statically known.
-    let mut pipeline_warm = false;
-    // Static mask tracking from the ensemble-start invariant (mask full):
-    // while the mask is known full, a masked write equals an unmasked one
-    // (plus `finish_write`'s padding-bit zeroing, which is preserved on
-    // every path), so the merge is dropped at fuse time. `SETMASK` makes
-    // the mask data-dependent; `UNMASK` restores the known-full state.
-    let mut mask_full = true;
-    // Word offset of the mask plane (mirrors `BitPlaneVrf`'s layout): an
-    // op stream that writes it would invalidate both the static mask
-    // tracking and the cached popcount, so it forfeits the fast loop.
-    let mask_base = (regs * DATA_BITS as usize + SCRATCH_PLANES + 1) * lanes.div_ceil(64);
+    let mut coeff = [0.0; MicroOpKind::ALL.len()];
+    // Word offset of the mask plane (mirrors `BitPlaneVrf`'s layout): ops
+    // that write it would make the enabled-lane counts vary within a run
+    // of steps, so they forfeit batching.
+    let words = lanes.div_ceil(64) as u32;
+    let mask_base = (regs as u32 * DATA_BITS + SCRATCH_PLANES as u32 + 1) * words;
     let mut writes_mask = false;
     // Word-serial ops transpose whole lane values through the VRF and
     // consult the mask plane dynamically; they are correct on the general
     // word-loop core but excluded from the bookkeeping-free fast loop.
     let mut has_word = false;
-    for instr in body {
+    for instr in &body[..segment_len(body)] {
         match instr {
-            Instruction::Binary { .. }
-            | Instruction::Unary { .. }
-            | Instruction::Compare { .. }
-            | Instruction::Fuzzy { .. }
-            | Instruction::Cas { .. }
-            | Instruction::Init { .. } => {
-                let (recipe, compiled) = synth(datapath, instr)?;
-                let cycles = if pipelined && pipeline_warm {
+            _ if is_compute(instr) => {
+                let Some((recipe, compiled)) = synth(datapath, instr) else { break };
+                let serial = datapath.recipe_cycles(&recipe);
+                let warm = if datapath.bit_pipelined() {
                     datapath.recipe_stage_cycles(&recipe)
                 } else {
-                    datapath.recipe_cycles(&recipe)
+                    serial
                 };
-                pipeline_warm = true;
-                let op_start = ops.len() as u32;
                 for &op in compiled.ops() {
-                    if op_writes(op, mask_base as u32) {
-                        writes_mask = true;
-                        mask_full = false;
-                    }
-                    if matches!(op, CompiledOp::Word { .. }) {
-                        has_word = true;
-                    }
-                    ops.push(if mask_full { drop_mask_merge(op) } else { op });
+                    writes_mask |= op_writes(op, mask_base);
+                    has_word |= matches!(op, CompiledOp::Word { .. });
                 }
-                let coeff_start = coeffs.len() as u32;
                 let mut energy_full_pj = 0.0;
                 for op in recipe.ops() {
                     // `uop_energy_pj(kind, 1)` is the per-lane coefficient
                     // exactly (×1.0 is exact in IEEE 754), so the runtime
                     // `coeff × lanes` product is bit-identical to the cost
                     // model's.
-                    let coeff = datapath.uop_energy_pj(op.kind(), 1);
-                    coeffs.push(coeff);
-                    energy_full_pj += coeff * lanes as f64;
+                    let c = datapath.uop_energy_pj(op.kind(), 1);
+                    coeff[op.kind().index()] = c;
+                    energy_full_pj += c * lanes as f64;
                 }
-                steps.push(EnsembleStep::Compute {
+                steps.push(SegmentStep::Compute {
                     instr: *instr,
-                    cycles,
+                    recipe: Arc::clone(&recipe),
+                    compiled,
+                    serial,
+                    warm,
                     uops: recipe.len() as u32,
                     saved: recipe.saved_uops(),
-                    ops: op_start..ops.len() as u32,
-                    coeffs: coeff_start..coeffs.len() as u32,
                     energy_full_pj,
                 });
             }
-            Instruction::SetMask { rs } => {
-                mask_full = false;
-                steps.push(EnsembleStep::SetMask { rs: *rs });
+            Instruction::GetMask { rd } if (rd.0 as usize) < regs => {
+                steps.push(SegmentStep::GetMask { rd: *rd })
             }
-            Instruction::Unmask => {
-                mask_full = !writes_mask;
-                steps.push(EnsembleStep::Unmask);
-            }
-            Instruction::Nop => steps.push(EnsembleStep::Nop),
-            _ => return None,
+            Instruction::SetMask { rs } => steps.push(SegmentStep::SetMask { rs: *rs }),
+            Instruction::Unmask => steps.push(SegmentStep::Unmask),
+            Instruction::Nop => steps.push(SegmentStep::Nop),
+            // A GETMASK naming a register the geometry lacks.
+            _ => break,
         }
     }
-    let fast = lanes % 64 == 0 && !writes_mask && !has_word;
-    Some(EnsembleTrace { steps, ops, coeffs, lanes, regs, fast })
+    let batch = !writes_mask;
+    let fast = batch && lanes % 64 == 0 && !has_word;
+    BodySegment { steps, coeff, lanes, regs, batch, fast }
 }
 
 /// True if `op` writes the plane at word offset `base`.
@@ -333,33 +327,11 @@ fn op_writes(op: CompiledOp, base: u32) -> bool {
     }
 }
 
-/// Rewrites `op` with its mask-merge flags cleared — sound only when the
-/// mask is statically known to be full at this point of the op stream.
-fn drop_mask_merge(op: CompiledOp) -> CompiledOp {
-    match op {
-        CompiledOp::Op2 { func, a, b, out, .. } => {
-            CompiledOp::Op2 { func, a, b, out, masked: false }
-        }
-        CompiledOp::Maj { a, b, c, out, .. } => CompiledOp::Maj { a, b, c, out, masked: false },
-        CompiledOp::FullAdd { a, b, carry, sum, latch, .. } => {
-            CompiledOp::FullAdd { a, b, carry, sum, latch, carry_masked: false, sum_masked: false }
-        }
-        CompiledOp::Copy { a, out, .. } => CompiledOp::Copy { a, out, masked: false },
-        CompiledOp::Fill { out, value, .. } => CompiledOp::Fill { out, masked: false, value },
-        CompiledOp::Lut { a, b, c, out, table, .. } => {
-            CompiledOp::Lut { a, b, c, out, table, masked: false }
-        }
-        // Word ops consult the mask plane dynamically; with a full mask the
-        // merge is already the identity, so there is nothing to drop.
-        op @ CompiledOp::Word { .. } => op,
-    }
-}
-
-/// [`fuse_ensemble_with`] synthesizing and compiling recipes directly
+/// [`fuse_segment_with`] synthesizing and compiling recipes directly
 /// from `datapath` (no shared pool).
-pub fn fuse_ensemble(datapath: &DatapathModel, body: &[Instruction]) -> Option<EnsembleTrace> {
+pub fn fuse_segment(datapath: &DatapathModel, body: &[Instruction]) -> BodySegment {
     let g = datapath.geometry();
-    fuse_ensemble_with(datapath, body, |dp, instr| {
+    fuse_segment_with(datapath, body, |dp, instr| {
         let recipe = Arc::new(dp.recipe(instr)?);
         let compiled = Arc::new(recipe.compile(g.lanes_per_vrf, g.regs_per_vrf));
         Some((recipe, compiled))
@@ -369,7 +341,7 @@ pub fn fuse_ensemble(datapath: &DatapathModel, body: &[Instruction]) -> Option<E
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DatapathKind;
+    use crate::{DatapathKind, Plane};
     use mpu_isa::{BinaryOp, CompareOp, UnaryOp, COND_REG};
 
     fn add(rd: u16) -> Instruction {
@@ -380,8 +352,10 @@ mod tests {
         vec![
             add(2),
             Instruction::Compare { op: CompareOp::Lt, rs: RegId(2), rt: RegId(1) },
+            Instruction::GetMask { rd: RegId(5) },
             Instruction::SetMask { rs: COND_REG },
             Instruction::Unary { op: UnaryOp::Inv, rs: RegId(0), rd: RegId(3) },
+            Instruction::GetMask { rd: RegId(6) },
             Instruction::Nop,
             Instruction::Unmask,
             Instruction::Binary { op: BinaryOp::Sub, rs: RegId(3), rt: RegId(1), rd: RegId(4) },
@@ -389,97 +363,107 @@ mod tests {
     }
 
     #[test]
-    fn fused_compute_steps_match_interpreted_recipes() {
+    fn fused_steps_match_interpreted_recipes() {
         for kind in DatapathKind::ALL {
             let dp = DatapathModel::for_kind(kind);
             let g = dp.geometry();
-            let trace = fuse_ensemble(&dp, &body()).expect("straight-line body fuses");
-            assert_eq!(trace.steps().len(), body().len());
+            let seg = fuse_segment(&dp, &body());
+            assert_eq!(seg.steps().len(), body().len());
 
             let mut a = BitPlaneVrf::new(g.lanes_per_vrf, g.regs_per_vrf);
             let xs: Vec<u64> = (0..g.lanes_per_vrf as u64).map(|i| i * 3 + 1).collect();
             let ys: Vec<u64> = (0..g.lanes_per_vrf as u64).map(|i| i * 7 + 2).collect();
             a.write_lane_values(0, &xs);
             a.write_lane_values(1, &ys);
+            a.write_lane_values(5, &ys);
             let mut b = a.clone();
 
-            // a: interpret every recipe; b: replay the fused trace. The
-            // control-path steps apply the same plane effects on both.
-            for (step, instr) in trace.steps().iter().zip(body()) {
+            // a: interpret every recipe; b: replay the fused segment. The
+            // mask writes apply the same plane effects on both.
+            for (i, instr) in body().into_iter().enumerate() {
                 match instr {
                     Instruction::SetMask { .. } => {
                         for v in [&mut a, &mut b] {
-                            v.copy_plane(crate::Plane::Cond, crate::Plane::Mask);
+                            v.copy_plane(Plane::Cond, Plane::Mask);
                         }
                     }
                     Instruction::Unmask => {
                         for v in [&mut a, &mut b] {
-                            v.fill_plane(crate::Plane::Mask, true);
+                            v.fill_plane(Plane::Mask, true);
                         }
                     }
-                    Instruction::Nop => {}
+                    Instruction::GetMask { rd } => {
+                        a.set_mask_enabled(false);
+                        a.copy_plane(Plane::Mask, Plane::Reg { reg: rd.0 as u8, bit: 0 });
+                        for bit in 1..64 {
+                            a.fill_plane(Plane::Reg { reg: rd.0 as u8, bit }, false);
+                        }
+                        a.set_mask_enabled(true);
+                        seg.run_steps(i..i + 1, &mut b);
+                    }
+                    Instruction::Nop => seg.run_steps(i..i + 1, &mut b),
                     ref compute => {
                         let recipe = dp.recipe(compute).expect("compute instruction");
                         for op in recipe.ops() {
                             op.apply(&mut a);
                         }
-                        trace.run_step(step, &mut b);
+                        seg.run_steps(i..i + 1, &mut b);
                     }
                 }
             }
-            assert_eq!(a, b, "{kind:?}: fused trace diverged from interpreter");
+            assert_eq!(a, b, "{kind:?}: fused segment diverged from interpreter");
         }
     }
 
     #[test]
     fn step_costs_match_the_cost_model() {
-        let dp = DatapathModel::racer();
-        let g = dp.geometry();
-        let trace = fuse_ensemble(&dp, &[add(2), add(3), add(4)]).unwrap();
-        let recipe = dp.recipe(&add(2)).unwrap();
-        let serial = dp.recipe_cycles(&recipe);
-        let stage = dp.recipe_stage_cycles(&recipe);
-        assert!(stage < serial, "RACER is bit-pipelined");
-        let cycles: Vec<u64> = trace
-            .steps()
-            .iter()
-            .map(|s| match s {
-                EnsembleStep::Compute { cycles, .. } => *cycles,
-                _ => 0,
-            })
-            .collect();
-        assert_eq!(cycles, vec![serial, stage, stage], "first step cold, rest warm");
-        for step in trace.steps() {
-            assert_eq!(
-                trace.step_energy_pj(step, g.lanes_per_vrf).to_bits(),
-                dp.recipe_energy_pj(&recipe, g.lanes_per_vrf).to_bits(),
-                "full-mask energy is bit-identical to the cost model"
-            );
-            assert_eq!(
-                trace.step_energy_pj(step, 17).to_bits(),
-                dp.recipe_energy_pj(&recipe, 17).to_bits(),
-                "partial-mask energy is bit-identical to the cost model"
-            );
+        for kind in DatapathKind::ALL {
+            let dp = DatapathModel::for_kind(kind);
+            let lanes = dp.geometry().lanes_per_vrf;
+            let seg = fuse_segment(&dp, &body());
+            for (step, instr) in seg.steps().iter().zip(body()) {
+                let SegmentStep::Compute { serial, warm, .. } = *step else { continue };
+                let recipe = dp.recipe(&instr).unwrap();
+                let stage =
+                    if dp.bit_pipelined() { dp.recipe_stage_cycles(&recipe) } else { serial };
+                assert_eq!((serial, warm), (dp.recipe_cycles(&recipe), stage), "{kind:?}");
+                for enabled in [lanes, lanes - 1, 17, 0] {
+                    assert_eq!(
+                        seg.step_energy_pj(step, enabled).to_bits(),
+                        dp.recipe_energy_pj(&recipe, enabled).to_bits(),
+                        "{kind:?} {instr:?}: energy at {enabled} lanes must match the cost model"
+                    );
+                }
+            }
         }
+        let dp = DatapathModel::racer();
+        let SegmentStep::Compute { serial, warm, .. } = fuse_segment(&dp, &[add(2)]).steps()[0]
+        else {
+            unreachable!()
+        };
+        assert!(warm < serial, "RACER is bit-pipelined");
     }
 
     #[test]
-    fn word_traces_forfeit_the_fast_loop() {
-        let trace = fuse_ensemble(&DatapathModel::dpu(), &[add(2)]).unwrap();
-        assert!(!trace.fast(), "word-serial ops must take the general word loop");
-        let trace = fuse_ensemble(&DatapathModel::pluto(), &[add(2)]).unwrap();
-        assert!(trace.fast(), "pLUTo bit-plane traces keep the fast loop");
+    fn word_segments_forfeit_the_fast_loop() {
+        let seg = fuse_segment(&DatapathModel::dpu(), &[add(2)]);
+        assert!(!seg.fast() && seg.batch(), "word-serial ops batch on the general word loop");
+        let seg = fuse_segment(&DatapathModel::pluto(), &[add(2)]);
+        assert!(seg.fast(), "pLUTo bit-plane segments keep the fast loop");
     }
 
     #[test]
-    fn non_straight_line_bodies_do_not_fuse() {
+    fn segments_end_at_control_flow_and_unfusable_instructions() {
         let dp = DatapathModel::racer();
         let jump_cond = Instruction::JumpCond { target: mpu_isa::LineNum(0) };
-        let get_mask = Instruction::GetMask { rd: RegId(5) };
-        for poison in [jump_cond, get_mask, Instruction::Return] {
-            let mut b = vec![add(2)];
-            b.push(poison);
-            assert!(fuse_ensemble(&dp, &b).is_none(), "{poison:?} must not fuse");
+        for stop in [jump_cond, Instruction::Return, Instruction::ComputeDone] {
+            let b = [add(2), Instruction::GetMask { rd: RegId(3) }, stop, add(4)];
+            assert_eq!(segment_len(&b), 2, "{stop:?} ends a segment");
+            assert_eq!(fuse_segment(&dp, &b).steps().len(), 2);
         }
+        // A register the geometry lacks stops fusion before the GETMASK.
+        let b = [add(2), Instruction::GetMask { rd: RegId(40) }, add(4)];
+        assert_eq!(segment_len(&b), 3);
+        assert_eq!(fuse_segment(&dp, &b).steps().len(), 1);
     }
 }

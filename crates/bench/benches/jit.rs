@@ -1,91 +1,39 @@
-//! Execution-tier wall-clock: the full 28-kernel sweep on the compiled
-//! (per-instruction) tier vs. the fused ensemble-trace tier.
-//!
-//! Both tiers run steady-state: each keeps a warmed [`RecipePool`] across
-//! iterations, exactly like the chip-sweep and figure harnesses do, so the
-//! timing isolates per-run execution cost rather than one-time template
-//! synthesis. Two groups are reported: `sweep21` covers the whole kernel
-//! suite (kernels with data-dependent bodies fall back to the compiled
-//! tier and are a wash, so the aggregate understates the gain), while
-//! `eligible` restricts to the kernels whose ensembles actually fuse —
-//! that group carries the acceptance target of a >= 2x median speedup of
-//! `eligible/trace` over `eligible/compiled`. Architectural statistics
-//! are bit-identical either way — asserted here on every warm-up run, and
-//! pinned by the conformance matrix and the perf gate's golden counters.
+//! Cross-mode check of the body executor over the whole kernel suite:
+//! every kernel on every substrate runs with its body segments stepped one
+//! instruction at a time and fused, each mode on its own warm
+//! [`RecipePool`], and the two must agree on every simulated statistic.
+//! Wall-clock timing of the sweep lives in `perfbench/`
+//! (`--workload sweep-warm`), which supersedes the Criterion sweep groups
+//! this file used to carry.
 
 use bench::BENCH_N;
-use criterion::{criterion_group, criterion_main, Criterion};
 use mastodon::{RecipePool, SimConfig};
 use pum_backend::DatapathKind;
-use std::hint::black_box;
 use std::sync::Arc;
 use workloads::{all_kernels, run_kernel_pooled};
 
 const SWEEP_SEED: u64 = 1;
 
-fn config(trace: bool) -> SimConfig {
-    let mut config = SimConfig::mpu(DatapathKind::Racer);
-    config.trace_ensembles = trace;
-    config
-}
-
-fn bench_tiers(c: &mut Criterion) {
+fn main() {
     let kernels = all_kernels();
-    let pools = [Arc::new(RecipePool::new()), Arc::new(RecipePool::new())];
-
-    // One full sweep per tier warms its pool and proves the tiers agree
-    // bit-for-bit — times mean nothing without that. The traced run's tier
-    // split also tells us which kernels fuse, for the `eligible` group.
-    let mut eligible = Vec::new();
-    for k in &kernels {
-        let run = |trace: bool| {
-            run_kernel_pooled(
-                k.as_ref(),
-                &config(trace),
-                BENCH_N,
-                SWEEP_SEED,
-                Some(&pools[trace as usize]),
-            )
-            .unwrap()
-        };
-        let traced = run(true);
-        assert_eq!(run(false).wave, traced.wave, "{}: tiers disagree on statistics", k.name());
-        if traced.tiers.0 > 0 {
-            eligible.push(k);
+    for kind in DatapathKind::ALL {
+        let pools = [Arc::new(RecipePool::new()), Arc::new(RecipePool::new())];
+        for k in &kernels {
+            let run = |fused: bool| {
+                let mut config = SimConfig::mpu(kind);
+                config.trace_ensembles = fused;
+                run_kernel_pooled(
+                    k.as_ref(),
+                    &config,
+                    BENCH_N,
+                    SWEEP_SEED,
+                    Some(&pools[fused as usize]),
+                )
+                .unwrap_or_else(|e| panic!("{} on {kind:?}: {e}", k.name()))
+            };
+            let (stepped, fused) = (run(false), run(true));
+            assert_eq!(stepped.wave, fused.wave, "{} on {kind:?}: modes disagree", k.name());
         }
     }
-    assert!(!eligible.is_empty(), "no kernel fused; the trace tier is dead");
-
-    for (name, subset) in [("sweep21", kernels.iter().collect::<Vec<_>>()), ("eligible", eligible)]
-    {
-        let mut group = c.benchmark_group(name);
-        group.sample_size(10);
-        for trace in [false, true] {
-            let label = if trace { "trace" } else { "compiled" };
-            let pool = &pools[trace as usize];
-            group.bench_function(label, |b| {
-                b.iter(|| {
-                    subset
-                        .iter()
-                        .map(|k| {
-                            run_kernel_pooled(
-                                k.as_ref(),
-                                black_box(&config(trace)),
-                                BENCH_N,
-                                SWEEP_SEED,
-                                Some(pool),
-                            )
-                            .unwrap()
-                            .wave
-                            .cycles
-                        })
-                        .sum::<u64>()
-                });
-            });
-        }
-        group.finish();
-    }
+    println!("stepped and fused agree on {} kernels x 5 substrates", kernels.len());
 }
-
-criterion_group!(benches, bench_tiers);
-criterion_main!(benches);

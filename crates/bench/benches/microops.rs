@@ -4,8 +4,8 @@
 //! wave, so host-side throughput of `MicroOp::apply` (and the compiled
 //! recipe path) bounds overall simulation speed. The lane transpose sits
 //! on every host data load, transfer block, message application, and
-//! kernel verification. Snapshots of these numbers live in
-//! `BENCH_microops.json` at the repository root.
+//! kernel verification. End-to-end and per-layer wall-clock records come
+//! from `perfbench/` (the `uop_ns.*` and `transpose_*_ns.*` layer metrics).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mpu_isa::{BinaryOp, Instruction, RegId};

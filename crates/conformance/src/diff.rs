@@ -1,9 +1,10 @@
 //! The differential runner: one case, executed by the word-level reference
 //! model and by the cycle-accurate simulator on every shipped backend
-//! (bit-serial NOR/MAJ/bitline, pLUTo LUT queries, word-serial DPU) over
-//! all three execution tiers (compiled, interpreted, fused ensemble
-//! trace), compared lane-exactly plus over the architectural counters the
-//! reference model defines — and cross-tier over the full statistics.
+//! (bit-serial NOR/MAJ/bitline, pLUTo LUT queries, word-serial DPU) in
+//! both execution modes of the body executor (every step on its own, and
+//! straight-line segments fused), compared lane-exactly plus over the
+//! architectural counters the reference model defines — and across modes
+//! over the full statistics.
 
 use crate::case::Case;
 use crate::generate::{BOX_RFHS, BOX_VRFS};
@@ -70,29 +71,31 @@ fn run_reference(
     Ok((boxes, sys.total_trace()))
 }
 
-/// One execution tier of the simulator's compute path.
+/// One execution mode of the simulator's body executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
-    /// Geometry-compiled recipes, dispatched per instruction.
-    Compiled,
-    /// Micro-op interpretation, dispatched per instruction.
-    Interpreted,
-    /// Fused ensemble traces where eligible (straight-line bodies), with
-    /// per-instruction fallback elsewhere.
-    Trace,
+    /// Every decoded body step runs on its own (`trace_ensembles` off).
+    Stepped,
+    /// Straight-line body segments run fused.
+    Fused,
 }
 
-/// Every tier the differential matrix covers.
-pub const TIERS: [Tier; 3] = [Tier::Compiled, Tier::Interpreted, Tier::Trace];
+/// Every mode the differential matrix covers.
+pub const TIERS: [Tier; 2] = [Tier::Stepped, Tier::Fused];
 
 impl Tier {
     /// Short label used in mismatch reports.
     pub fn label(self) -> &'static str {
         match self {
-            Tier::Compiled => "compiled",
-            Tier::Interpreted => "interpreted",
-            Tier::Trace => "trace",
+            Tier::Stepped => "stepped",
+            Tier::Fused => "fused",
         }
+    }
+
+    /// `config` switched to this mode.
+    pub fn config(self, mut config: SimConfig) -> SimConfig {
+        config.trace_ensembles = self == Tier::Fused;
+        config
     }
 }
 
@@ -103,11 +106,7 @@ fn run_simulator(
     programs: &[Program],
     pool: Option<&Arc<RecipePool>>,
 ) -> Result<(Vec<LaneBox>, Stats), String> {
-    let mut config = SimConfig::mpu(kind);
-    // Pin both tier knobs explicitly: the per-instruction tiers must not
-    // silently ride the trace tier (whose default is on).
-    config.interpret_recipes = tier == Tier::Interpreted;
-    config.trace_ensembles = tier == Tier::Trace;
+    let config = tier.config(SimConfig::mpu(kind));
     let mut sys = match pool {
         Some(pool) => System::new_pooled(config, case.mpus.len(), pool),
         None => System::new(config, case.mpus.len()),
@@ -149,8 +148,8 @@ pub fn reference_lanes(kind: DatapathKind, case: &Case) -> Option<Vec<LaneBox>> 
 /// shared (possibly deliberately corrupted) recipe pool.
 ///
 /// Returns `Some(description)` on the first divergence between the
-/// reference model and the simulator (either recipe path), or between the
-/// interpreted and compiled paths' statistics. Returns `None` when all
+/// reference model and the simulator (either execution mode), or between
+/// the two modes' statistics. Returns `None` when all
 /// agree — or when the reference model itself rejects the case (which
 /// makes the case incomparable, not a simulator defect; the shrinker
 /// relies on this to discard reductions that break program validity).
@@ -167,7 +166,7 @@ pub fn check_case_on(
         Ok(v) => v,
         Err(_) => return None,
     };
-    let mut compiled_stats: Option<Stats> = None;
+    let mut stepped_stats: Option<Stats> = None;
     for tier in TIERS {
         let path = tier.label();
         let (boxes, stats) = match run_simulator(kind, tier, case, &programs, pool) {
@@ -205,12 +204,12 @@ pub fn check_case_on(
                 ));
             }
         }
-        match compiled_stats {
-            None => compiled_stats = Some(stats),
+        match stepped_stats {
+            None => stepped_stats = Some(stats),
             Some(prev) if prev != stats => {
                 return Some(format!(
-                    "{kind:?}: the {path} tier disagrees with the compiled tier on \
-                     statistics:\n  compiled: {prev:?}\n  {path}: {stats:?}"
+                    "{kind:?}: the {path} mode disagrees with the stepped mode on \
+                     statistics:\n  stepped: {prev:?}\n  {path}: {stats:?}"
                 ));
             }
             Some(_) => {}
@@ -256,7 +255,7 @@ pub fn check_case(case: &Case) -> Option<String> {
     None
 }
 
-/// Runs one case on one backend (compiled path, no pool) and returns its
+/// Runs one case on one backend (stepped mode, no pool) and returns its
 /// statistics — the golden-snapshot probe.
 ///
 /// # Errors
@@ -264,7 +263,7 @@ pub fn check_case(case: &Case) -> Option<String> {
 /// Returns a description if the case fails to lower or the run fails.
 pub fn simulate(kind: DatapathKind, case: &Case) -> Result<Stats, String> {
     let programs = case.programs().map_err(|e| e.to_string())?;
-    run_simulator(kind, Tier::Compiled, case, &programs, None).map(|(_, stats)| stats)
+    run_simulator(kind, Tier::Stepped, case, &programs, None).map(|(_, stats)| stats)
 }
 
 #[cfg(test)]

@@ -1,10 +1,10 @@
-//! Observability conformance: across random generated programs, all three
-//! backends, and both recipe-execution modes, (1) arming a tracer never
+//! Observability conformance: across random generated programs, every
+//! backend, and both body-execution modes, (1) arming a tracer never
 //! changes execution — lane values and per-MPU statistics are
 //! byte-identical to a disarmed run — and (2) the attribution profile
 //! built from the trace conserves every counter and energy field exactly.
 
-use conformance::{generate, BACKENDS, BOX_RFHS, BOX_VRFS};
+use conformance::{generate, Tier, BACKENDS, BOX_RFHS, BOX_VRFS, TIERS};
 use mastodon::{EventLog, Profile, SimConfig, Stats, System, TraceEvent};
 use proptest::prelude::*;
 use pum_backend::DatapathKind;
@@ -24,11 +24,10 @@ struct Observed {
 /// Runs a generated case on the simulator, optionally traced. Cases whose
 /// programs fail to lower or run (shrinker-style artifacts) return `None`
 /// and are skipped — the point here is trace transparency, not validity.
-fn run_case(kind: DatapathKind, interpret: bool, seed: u64, armed: bool) -> Option<Observed> {
+fn run_case(kind: DatapathKind, tier: Tier, seed: u64, armed: bool) -> Option<Observed> {
     let case = generate(seed);
     let programs = case.programs().ok()?;
-    let mut config = SimConfig::mpu(kind);
-    config.interpret_recipes = interpret;
+    let config = tier.config(SimConfig::mpu(kind));
     let mut sys = System::new(config, case.mpus.len());
     let log = EventLog::new();
     if armed {
@@ -72,29 +71,29 @@ proptest! {
     #[test]
     fn tracing_is_transparent_and_profiles_conserve(seed in 0u64..4096) {
         for kind in BACKENDS {
-            for interpret in [false, true] {
-                let armed = run_case(kind, interpret, seed, true);
-                let disarmed = run_case(kind, interpret, seed, false);
+            for tier in TIERS {
+                let armed = run_case(kind, tier, seed, true);
+                let disarmed = run_case(kind, tier, seed, false);
                 let (armed, disarmed) = match (armed, disarmed) {
                     (Some(a), Some(d)) => (a, d),
                     (None, None) => continue,
                     _ => {
                         prop_assert!(false, "armed/disarmed runnability diverged \
-                                             ({kind:?}, interpret={interpret}, seed={seed})");
+                                             ({kind:?}, tier={tier:?}, seed={seed})");
                         unreachable!()
                     }
                 };
                 prop_assert_eq!(
                     &armed.lanes, &disarmed.lanes,
-                    "lane values diverged ({:?}, interpret={}, seed={})", kind, interpret, seed
+                    "lane values diverged ({:?}, tier={:?}, seed={})", kind, tier, seed
                 );
                 prop_assert_eq!(
                     &armed.per_mpu, &disarmed.per_mpu,
-                    "per-MPU stats diverged ({:?}, interpret={}, seed={})", kind, interpret, seed
+                    "per-MPU stats diverged ({:?}, tier={:?}, seed={})", kind, tier, seed
                 );
                 prop_assert_eq!(
                     armed.system, disarmed.system,
-                    "system stats diverged ({:?}, interpret={}, seed={})", kind, interpret, seed
+                    "system stats diverged ({:?}, tier={:?}, seed={})", kind, tier, seed
                 );
 
                 let profile = Profile::build(&armed.events);
@@ -102,13 +101,13 @@ proptest! {
                     prop_assert_eq!(
                         &m.totals, &armed.per_mpu[m.mpu as usize],
                         "profile totals failed conservation for mpu{} \
-                         ({:?}, interpret={}, seed={})", m.mpu, kind, interpret, seed
+                         ({:?}, tier={:?}, seed={})", m.mpu, kind, tier, seed
                     );
                 }
                 prop_assert_eq!(
                     profile.merged(), armed.system,
-                    "merged profile failed conservation ({:?}, interpret={}, seed={})",
-                    kind, interpret, seed
+                    "merged profile failed conservation ({:?}, tier={:?}, seed={})",
+                    kind, tier, seed
                 );
             }
         }

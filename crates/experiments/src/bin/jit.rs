@@ -1,13 +1,13 @@
-//! Execution-tier comparison: per-kernel host wall-clock of the compiled
-//! (per-instruction) tier vs. the fused ensemble-trace tier on MPU:RACER,
-//! with a bit-exactness check of the simulated statistics on every row.
+//! Execution-mode comparison: per-kernel host wall-clock of the body
+//! executor stepping every instruction on its own vs. running fused
+//! segments on MPU:RACER, with a bit-exactness check of the simulated
+//! statistics on every row.
 //!
-//! Each tier is timed steady-state: a shared [`RecipePool`] per tier is
+//! Each mode is timed steady-state: a shared [`RecipePool`] per mode is
 //! warmed once, so rows measure per-run execution cost — the regime every
 //! sweep and figure harness runs in — rather than one-time template
-//! synthesis. `ensembles` reports the wave simulation's tier split as
-//! `traced/total`: straight-line bodies fuse, data-dependent ones fall
-//! back.
+//! synthesis. `segments` reports the wave simulation's body-segment
+//! runs as `fused/total`.
 
 use experiments::{fmt_ratio, geomean, print_table, SEED};
 use mastodon::{RecipePool, SimConfig};
@@ -20,7 +20,7 @@ use workloads::{all_kernels, run_kernel_pooled};
 /// figure-scale `KERNEL_N`, so a row is milliseconds rather than minutes.
 const N: u64 = 1 << 12;
 
-/// Timing repetitions per tier (median reported).
+/// Timing repetitions per mode (median reported).
 const REPS: usize = 5;
 
 fn median_ms(mut samples: Vec<f64>) -> f64 {
@@ -30,26 +30,26 @@ fn median_ms(mut samples: Vec<f64>) -> f64 {
 
 fn main() {
     let kernels = all_kernels();
-    let compiled_cfg = {
+    let stepped_cfg = {
         let mut c = SimConfig::mpu(DatapathKind::Racer);
         c.trace_ensembles = false;
         c
     };
-    let trace_cfg = SimConfig::mpu(DatapathKind::Racer);
-    let compiled_pool = Arc::new(RecipePool::new());
-    let trace_pool = Arc::new(RecipePool::new());
+    let fused_cfg = SimConfig::mpu(DatapathKind::Racer);
+    let stepped_pool = Arc::new(RecipePool::new());
+    let fused_pool = Arc::new(RecipePool::new());
 
     let mut rows = Vec::new();
     let mut speedups = Vec::new();
     for k in &kernels {
         // Warm both pools and pin bit-exactness before timing anything.
-        let compiled =
-            run_kernel_pooled(k.as_ref(), &compiled_cfg, N, SEED, Some(&compiled_pool)).unwrap();
-        let traced = run_kernel_pooled(k.as_ref(), &trace_cfg, N, SEED, Some(&trace_pool)).unwrap();
+        let stepped =
+            run_kernel_pooled(k.as_ref(), &stepped_cfg, N, SEED, Some(&stepped_pool)).unwrap();
+        let fused = run_kernel_pooled(k.as_ref(), &fused_cfg, N, SEED, Some(&fused_pool)).unwrap();
         assert_eq!(
-            compiled.wave,
-            traced.wave,
-            "{}: tiers disagree on simulated statistics",
+            stepped.wave,
+            fused.wave,
+            "{}: modes disagree on simulated statistics",
             k.name()
         );
 
@@ -66,15 +66,15 @@ fn main() {
                     .collect(),
             )
         };
-        let t_compiled = time(&compiled_cfg, &compiled_pool);
-        let t_trace = time(&trace_cfg, &trace_pool);
-        let speedup = t_compiled / t_trace;
+        let t_stepped = time(&stepped_cfg, &stepped_pool);
+        let t_fused = time(&fused_cfg, &fused_pool);
+        let speedup = t_stepped / t_fused;
         speedups.push(speedup);
         rows.push(vec![
             k.name().to_string(),
-            format!("{}/{}", traced.tiers.0, traced.tiers.0 + traced.tiers.1),
-            format!("{t_compiled:.2}"),
-            format!("{t_trace:.2}"),
+            format!("{}/{}", fused.tiers.0, fused.tiers.0 + fused.tiers.1),
+            format!("{t_stepped:.2}"),
+            format!("{t_fused:.2}"),
             fmt_ratio(speedup),
         ]);
     }
@@ -87,8 +87,8 @@ fn main() {
     ]);
 
     print_table(
-        &format!("Execution tiers — compiled vs. trace wall-clock, MPU:RACER (n = {N}, warm pool)"),
-        &["kernel", "ensembles", "compiled ms", "trace ms", "speedup"],
+        &format!("Body executor — stepped vs. fused wall-clock, MPU:RACER (n = {N}, warm pool)"),
+        &["kernel", "segments", "stepped ms", "fused ms", "speedup"],
         &rows,
     );
 }

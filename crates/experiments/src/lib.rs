@@ -500,7 +500,7 @@ pub fn render_opt_attribution(rows: &[OptAttributionRow], n: u64, seed: u64) -> 
 }
 
 /// One `prim_suite` row: one PrIM kernel on one substrate (default
-/// optimizer configuration, compiled tier), wave counters plus the
+/// optimizer configuration), wave counters plus the
 /// chip-scaled time/energy projection.
 #[derive(Debug, Clone)]
 pub struct PrimSuiteRow {

@@ -44,6 +44,11 @@ use crate::builder::{Body, Cond, EzProgram};
 use mpu_isa::{Instruction, RegId};
 use std::fmt;
 
+/// Deepest nesting of `while`/`for`/`if` blocks [`parse`] accepts. Parsing
+/// and lowering recurse once per level, so unbounded nesting could
+/// exhaust the stack; deeper input is a [`ParseError`] instead.
+pub const MAX_NESTING: usize = 64;
+
 /// Error parsing ezpim source text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -206,8 +211,15 @@ fn check_aliasing(line: usize, instr: &Instruction) -> Result<(), ParseError> {
 }
 
 /// Parses statements until the matching `}`; returns `(stmts, saw_else)`.
-fn parse_body(lines: &mut Lines<'_>) -> Result<(Vec<Stmt>, bool), ParseError> {
+/// `depth` counts the blocks already open around this one.
+fn parse_body(lines: &mut Lines<'_>, depth: usize) -> Result<(Vec<Stmt>, bool), ParseError> {
     let mut stmts = Vec::new();
+    let nested = |lines: &mut Lines<'_>, ln: usize| {
+        if depth == MAX_NESTING {
+            return Err(err(ln, format!("blocks nested deeper than {MAX_NESTING} levels")));
+        }
+        parse_body(lines, depth + 1)
+    };
     loop {
         let (ln, text) = lines
             .next()
@@ -222,7 +234,7 @@ fn parse_body(lines: &mut Lines<'_>) -> Result<(Vec<Stmt>, bool), ParseError> {
         match toks.as_slice() {
             ["while", rest @ .., "{"] => {
                 let cond = parse_cond(ln, rest)?;
-                let (body, saw_else) = parse_body(lines)?;
+                let (body, saw_else) = nested(lines, ln)?;
                 if saw_else {
                     return Err(err(ln, "`else` is not valid after `while`"));
                 }
@@ -231,7 +243,7 @@ fn parse_body(lines: &mut Lines<'_>) -> Result<(Vec<Stmt>, bool), ParseError> {
             ["for", counter, "<", limit, "{"] => {
                 let c = parse_reg(ln, counter)?;
                 let l = parse_reg(ln, limit)?;
-                let (body, saw_else) = parse_body(lines)?;
+                let (body, saw_else) = nested(lines, ln)?;
                 if saw_else {
                     return Err(err(ln, "`else` is not valid after `for`"));
                 }
@@ -239,9 +251,9 @@ fn parse_body(lines: &mut Lines<'_>) -> Result<(Vec<Stmt>, bool), ParseError> {
             }
             ["if", rest @ .., "{"] => {
                 let cond = parse_cond(ln, rest)?;
-                let (then, saw_else) = parse_body(lines)?;
+                let (then, saw_else) = nested(lines, ln)?;
                 let otherwise = if saw_else {
-                    let (els, nested_else) = parse_body(lines)?;
+                    let (els, nested_else) = nested(lines, ln)?;
                     if nested_else {
                         return Err(err(ln, "dangling `else`"));
                     }
@@ -314,7 +326,7 @@ fn parse_top(lines: &mut Lines<'_>) -> Result<Vec<(usize, Top)>, ParseError> {
                 if members.is_empty() {
                     return Err(err(ln, "ensemble needs at least one hN.vM member"));
                 }
-                let (body, saw_else) = parse_body(lines)?;
+                let (body, saw_else) = parse_body(lines, 0)?;
                 if saw_else {
                     return Err(err(ln, "dangling `else`"));
                 }
@@ -350,7 +362,7 @@ fn parse_top(lines: &mut Lines<'_>) -> Result<Vec<(usize, Top)>, ParseError> {
             ["recv", mpu] => tops.push((ln, Top::Recv(parse_u16(ln, mpu, "mpu")?))),
             ["sync"] => tops.push((ln, Top::Sync)),
             ["sub", name, "{"] => {
-                let (body, saw_else) = parse_body(lines)?;
+                let (body, saw_else) = parse_body(lines, 0)?;
                 if saw_else {
                     return Err(err(ln, "dangling `else`"));
                 }
@@ -619,5 +631,30 @@ ensemble h0.v0 {
         let e = parse(src).unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.message.contains("mask register pool exhausted"), "{}", e.message);
+    }
+
+    /// `depth` nested `kind` blocks inside one ensemble.
+    fn nested(kind: &str, depth: usize) -> String {
+        format!(
+            "ensemble h0.v0 {{\n{}{}}}\n",
+            format!("{kind} {{\n").repeat(depth),
+            "}\n".repeat(depth)
+        )
+    }
+
+    #[test]
+    fn block_nesting_is_bounded() {
+        // Within the limit the parser accepts the nesting (lowering may
+        // still reject it, e.g. when the mask register pool runs dry).
+        assert!(parse(&nested("while r0 > r1", 2)).is_ok());
+        if let Err(e) = parse(&nested("while r0 > r1", MAX_NESTING)) {
+            assert!(!e.message.contains("nested deeper than"), "{}", e.message);
+        }
+        let e = parse(&nested("while r0 > r1", MAX_NESTING + 1)).unwrap_err();
+        assert_eq!(e.line, MAX_NESTING + 2, "the first block past the limit (after the header)");
+        assert!(e.message.contains("nested deeper than"), "{}", e.message);
+        // ~3 MB of nested `if`s: a typed error, not a stack overflow.
+        let e = parse(&nested("if r0 > r1", 200_000)).unwrap_err();
+        assert!(e.message.contains("nested deeper than"), "{}", e.message);
     }
 }

@@ -16,6 +16,11 @@
 
 use std::fmt;
 
+/// Deepest array/object nesting [`Value::parse`] accepts. The parser
+/// recurses once per level, so an unbounded document could exhaust the
+/// stack; deeper input is a [`ParseError`] instead.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -39,9 +44,10 @@ impl Value {
     ///
     /// # Errors
     ///
-    /// Returns a [`ParseError`] describing the first offending byte.
+    /// Returns a [`ParseError`] describing the first offending byte,
+    /// including arrays and objects nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Value, ParseError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -123,6 +129,8 @@ impl std::error::Error for ParseError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -160,8 +168,15 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.eat_literal("true", Value::Bool(true)),
             Some(b'f') => self.eat_literal("false", Value::Bool(false)),
@@ -410,6 +425,18 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "1 2", "\"unterminated", "{\"a\" 1}"] {
             assert!(Value::parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Value::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Value::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.pos, MAX_DEPTH);
+        // A ~2 MB document of open brackets: a typed error, not a stack
+        // overflow.
+        let err = Value::parse(&"[{\"a\":".repeat(400_000)).unwrap_err();
+        assert!(err.message.contains("nesting deeper than"), "{err}");
     }
 
     #[test]

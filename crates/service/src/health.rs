@@ -4,10 +4,7 @@
 //! occupancy, worker liveness, and a decaying count of recent fault
 //! retries. Degradation is graceful and reversible:
 //!
-//! * **Degraded** — low-priority submissions are shed at admission and
-//!   newly admitted jobs run with the trace tier disabled (the compiled
-//!   tier is the conservative fallback; lane results are identical by
-//!   the conformance suite's tier-equivalence guarantee).
+//! * **Degraded** — low-priority submissions are shed at admission.
 //! * **Critical** — everything below high priority is shed.
 //!
 //! When the pressure signal decays, the service returns to **Healthy**
@@ -18,9 +15,9 @@ use std::fmt;
 /// The three-state health ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum HealthState {
-    /// Normal operation: all priorities admitted, trace tier on.
+    /// Normal operation: all priorities admitted.
     Healthy,
-    /// Under pressure: shed `Low`, disable the trace tier for new jobs.
+    /// Under pressure: shed `Low`.
     Degraded,
     /// Overloaded or storm-struck: shed everything below `High`.
     Critical,

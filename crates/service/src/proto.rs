@@ -53,6 +53,21 @@ pub fn write_frame(w: &mut impl Write, v: &Value) -> std::io::Result<()> {
 ///
 /// Propagates I/O errors and typed protocol violations.
 pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Value>> {
+    let Some(text) = read_frame_text(r)? else { return Ok(None) };
+    Value::parse(&text)
+        .map(Some)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+}
+
+/// Reads one frame's UTF-8 text without parsing it, so a server can answer
+/// a malformed document with a typed rejection instead of dropping the
+/// connection. `Ok(None)` on clean EOF at a frame boundary.
+///
+/// # Errors
+///
+/// Propagates I/O errors; oversized or non-UTF-8 frames surface as
+/// `InvalidData`.
+pub fn read_frame_text(r: &mut impl Read) -> std::io::Result<Option<String>> {
     let mut len = [0u8; 4];
     match r.read_exact(&mut len) {
         Ok(()) => {}
@@ -68,9 +83,7 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Value>> {
     }
     let mut body = vec![0u8; len];
     r.read_exact(&mut body)?;
-    let text = String::from_utf8(body)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    Value::parse(&text)
+    String::from_utf8(body)
         .map(Some)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
 }

@@ -115,9 +115,8 @@ struct JobRecord {
     outputs: Vec<RegRef>,
     poison: bool,
     fault: Option<FaultRequest>,
-    /// Pinned at admission (including any degradation-tier fallback) so
-    /// checkpoints taken under it always import back into an equal
-    /// configuration.
+    /// Pinned at admission so checkpoints taken under it always import
+    /// back into an equal configuration.
     base_config: SimConfig,
     submitted: Instant,
     deadline: Option<Instant>,
@@ -248,7 +247,7 @@ impl Service {
         let id = st.next_job;
         st.next_job += 1;
         let now = Instant::now();
-        let base_config = job_config(&spec, &cfg.limits, health != HealthState::Healthy);
+        let base_config = job_config(&spec, &cfg.limits);
         let record = JobRecord {
             tenant: spec.tenant.clone(),
             priority: spec.priority,
@@ -428,15 +427,9 @@ impl Service {
 /// Builds the pinned per-job simulator configuration. The fault seed is
 /// perturbed per attempt by [`attempt_config`]; everything else is
 /// attempt-invariant so checkpoints import cleanly within an attempt.
-fn job_config(spec: &JobSpec, limits: &SubmissionLimits, degraded: bool) -> SimConfig {
+fn job_config(spec: &JobSpec, limits: &SubmissionLimits) -> SimConfig {
     let mut cfg = SimConfig::mpu(spec.backend);
     cfg.recovery.watchdog_instructions = Some(limits.watchdog_instructions);
-    if degraded {
-        // Graceful degradation: fall back from the trace tier to the
-        // compiled tier (lane-identical by the conformance guarantee,
-        // conservative on host-side trace state).
-        cfg.trace_ensembles = false;
-    }
     if spec.fault.is_some() {
         // Armed fault layer: give the machine its own recovery ladder
         // before errors escalate to the service's retry loop.

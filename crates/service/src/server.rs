@@ -11,7 +11,8 @@
 use crate::job::{JobId, JobOutcome, JobPhase};
 use crate::proto::{
     self, err_response, health_from_json, health_to_json, hex, ok_response, outcome_from_json,
-    outcome_to_json, read_frame, request_from_json, request_to_json, write_frame, Request,
+    outcome_to_json, read_frame, read_frame_text, request_from_json, request_to_json, write_frame,
+    Request,
 };
 use crate::{HealthReport, JobSpec, Service};
 use microjson::Value;
@@ -127,13 +128,15 @@ fn handle_connection(
 ) -> io::Result<()> {
     let mut reader = stream.try_clone()?;
     let mut writer = stream;
-    while let Some(frame) = read_frame(&mut reader)? {
-        let response = match request_from_json(&frame) {
-            Err(message) => {
-                err_response(proto::admit_error_to_json(&crate::AdmitError::InvalidRequest {
-                    message,
-                }))
-            }
+    while let Some(text) = read_frame_text(&mut reader)? {
+        let request = Value::parse(&text)
+            .map_err(|e| crate::AdmitError::ParseError { message: e.to_string() })
+            .and_then(|frame| {
+                request_from_json(&frame)
+                    .map_err(|message| crate::AdmitError::InvalidRequest { message })
+            });
+        let response = match request {
+            Err(e) => err_response(proto::admit_error_to_json(&e)),
             Ok(Request::Submit(spec)) => match service.submit(*spec) {
                 Ok(id) => ok_response(vec![("id", hex(id))]),
                 Err(e) => err_response(proto::admit_error_to_json(&e)),

@@ -93,6 +93,24 @@ fn parse_errors_are_rejected_at_admission() {
 }
 
 #[test]
+fn deeply_nested_sources_are_rejected_at_admission() {
+    // ~3 MB of nested `if`s: a typed rejection, not a stack overflow.
+    let depth = 200_000;
+    let text =
+        format!("ensemble h0.v0 {{\n{}{}}}\n", "if r0 > r1 {\n".repeat(depth), "}\n".repeat(depth));
+    let service = Service::start(ServiceConfig { workers: 1, ..Default::default() });
+    let err = service.submit(JobSpec::ez("alice", DatapathKind::Racer, &text)).unwrap_err();
+    assert!(matches!(err, AdmitError::ParseError { .. }), "got {err:?}");
+    // Assembly is line-oriented and does not nest: a long source is a
+    // typed rejection too.
+    let asm = "COMPUTE h0 v0\n".repeat(depth);
+    let spec = JobSpec { program: ProgramSource::Asm(asm), ..add_spec("alice") };
+    let err = service.submit(spec).unwrap_err();
+    assert!(matches!(err, AdmitError::ParseError { .. }), "got {err:?}");
+    service.shutdown();
+}
+
+#[test]
 fn quota_queue_and_shed_ladder() {
     // No workers: nothing drains, so admission pressure is deterministic.
     let config =
@@ -316,6 +334,20 @@ fn socket_end_to_end() {
         .submit(&JobSpec::ez("remote", DatapathKind::Racer, "ensemble h0.v0 {\n  frobnicate\n}"))
         .unwrap_err();
     assert_eq!(err.kind, "parse_error");
+
+    // A ~2 MB `[[[…]]]` frame gets a typed parse error, and the
+    // connection keeps serving.
+    let mut raw = std::os::unix::net::UnixStream::connect(&path).unwrap();
+    let deep = "[".repeat(2 << 20);
+    std::io::Write::write_all(&mut raw, &(deep.len() as u32).to_le_bytes()).unwrap();
+    std::io::Write::write_all(&mut raw, deep.as_bytes()).unwrap();
+    let response = service::proto::read_frame(&mut raw).unwrap().unwrap();
+    let kind = response.get("error").and_then(|e| e.get("kind")).and_then(|k| k.as_str());
+    assert_eq!(kind, Some("parse_error"), "{response}");
+    let health = service::proto::request_to_json(&service::proto::Request::Health);
+    service::proto::write_frame(&mut raw, &health).unwrap();
+    let response = service::proto::read_frame(&mut raw).unwrap().unwrap();
+    assert_eq!(response.get("ok").and_then(|v| v.as_bool()), Some(true), "{response}");
 
     // A second connection sees the same service.
     let mut other = server::ServiceClient::connect(&path).unwrap();

@@ -102,7 +102,7 @@ impl Default for ControlCosts {
     }
 }
 
-/// Serde default for [`SimConfig::trace_ensembles`]: the trace tier is on
+/// Serde default for [`SimConfig::trace_ensembles`]: fused segments are on
 /// unless a config explicitly opts out.
 fn default_trace_ensembles() -> bool {
     true
@@ -129,19 +129,11 @@ pub struct SimConfig {
     pub frontend_dynamic_mw: f64,
     /// Front-end static power, mW.
     pub frontend_static_mw: f64,
-    /// Execute compute instructions by interpreting their micro-op
-    /// sequence one op at a time instead of running the geometry-compiled
-    /// form. Timing, energy, and statistics are identical either way; the
-    /// conformance suite runs both paths differentially to prove it.
-    #[serde(default)]
-    pub interpret_recipes: bool,
-    /// Fuse straight-line compute-ensemble bodies into cached
-    /// [`pum_backend::EnsembleTrace`]s and replay those instead of
-    /// dispatching per instruction (the trace execution tier). A host-side
-    /// optimization only: lane values, statistics, and trace events are
-    /// bit-identical to the per-instruction tiers, and bodies with
-    /// data-dependent control flow automatically fall back. The
-    /// conformance suite runs all three tiers differentially to prove it.
+    /// Run the straight-line segments of compute-ensemble bodies fused
+    /// (cached [`pum_backend::BodySegment`]s, one word-loop pass per VRF)
+    /// instead of stepping them one instruction at a time. A host-side
+    /// switch only: lane values and statistics are bit-identical either
+    /// way, and the differential suites turn it off to prove it.
     #[serde(default = "default_trace_ensembles")]
     pub trace_ensembles: bool,
     /// Seeded hardware fault injection. Default: disabled (no seed).
@@ -176,7 +168,6 @@ impl SimConfig {
             template_entries: 1024,
             frontend_dynamic_mw: fe.total_dynamic_mw(),
             frontend_static_mw: fe.total_static_mw(),
-            interpret_recipes: false,
             trace_ensembles: default_trace_ensembles(),
             fault: FaultConfig::default(),
             recovery: RecoveryPolicy::default(),

@@ -11,11 +11,11 @@
 
 use crate::config::{ExecutionMode, SimConfig};
 use crate::fault::Redundancy;
-use crate::recipe_cache::{RecipeCache, RecipePool};
+use crate::recipe_cache::{LookupOutcome, RecipeCache, RecipePool};
 use crate::stats::{EnergyStats, Stats};
 use crate::trace::{FaultAction, InstrClass, TraceEvent, TraceKind, Tracer, UopMix};
-use mpu_isa::{Instruction, MpuId, Program, COND_REG};
-use pum_backend::{BitPlaneVrf, EnsembleStep, EnsembleTrace, Plane, Recipe};
+use mpu_isa::{Instruction, MpuId, Program, RegId, COND_REG};
+use pum_backend::{BitPlaneVrf, BodySegment, Plane, SegmentStep};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -435,8 +435,8 @@ pub struct MpuCheckpoint {
     pc: usize,
     halted: bool,
     inbox: Vec<Message>,
-    traced_ensembles: u64,
-    fallback_ensembles: u64,
+    fused_segments: u64,
+    stepped_segments: u64,
 }
 
 impl MpuCheckpoint {
@@ -503,12 +503,12 @@ pub struct Mpu {
     /// site is a single branch and no event is ever constructed, so
     /// execution and statistics are byte-identical either way.
     tracer: Option<Box<dyn Tracer>>,
-    /// Compute ensembles executed on the fused trace tier (host-side
-    /// telemetry; not part of [`Stats`] — tier choice never changes the
+    /// Body-segment executions that ran fused (host-side telemetry; not
+    /// part of [`Stats`] — the execution mode never changes the
     /// architectural ledger).
-    traced_ensembles: u64,
-    /// Compute ensembles that fell back to per-instruction execution.
-    fallback_ensembles: u64,
+    fused_segments: u64,
+    /// Body-segment executions stepped one instruction at a time.
+    stepped_segments: u64,
     /// Cooperative cancellation/preemption token (`None` by default):
     /// polled once per top-level instruction. Host-side only — polling
     /// never charges cycles, so controlled and uncontrolled runs produce
@@ -531,8 +531,8 @@ impl Mpu {
             halted: false,
             inbox: Vec::new(),
             tracer: None,
-            traced_ensembles: 0,
-            fallback_ensembles: 0,
+            fused_segments: 0,
+            stepped_segments: 0,
             ctrl: None,
         }
     }
@@ -551,12 +551,20 @@ impl Mpu {
         self.ctrl = None;
     }
 
-    /// Execution-tier telemetry: `(trace, fallback)` counts of compute
-    /// ensembles run on the fused trace tier vs. the per-instruction
-    /// (compiled/interpreted) tier. Host-side observability only — lane
-    /// values and [`Stats`] are bit-identical whichever tier executed.
+    /// Execution-mode telemetry: `(fused, stepped)` counts of body-segment
+    /// executions (one per segment, wave and loop iteration) that ran fused
+    /// vs. stepped one instruction at a time — because the configuration
+    /// needs per-instruction fidelity, or because the watchdog would fire
+    /// inside the segment. Host-side observability only — lane values and
+    /// [`Stats`] are bit-identical either way.
     pub fn tier_counts(&self) -> (u64, u64) {
-        (self.traced_ensembles, self.fallback_ensembles)
+        (self.fused_segments, self.stepped_segments)
+    }
+
+    /// The architectural recipe cache (template table, LRU order, hit and
+    /// miss counters).
+    pub fn recipe_cache(&self) -> &RecipeCache {
+        &self.cache
     }
 
     /// Arms structured tracing: `tracer` receives one [`TraceEvent`] per
@@ -897,8 +905,8 @@ impl Mpu {
             pc: self.pc,
             halted: self.halted,
             inbox: self.inbox.clone(),
-            traced_ensembles: self.traced_ensembles,
-            fallback_ensembles: self.fallback_ensembles,
+            fused_segments: self.fused_segments,
+            stepped_segments: self.stepped_segments,
         }
     }
 
@@ -933,8 +941,8 @@ impl Mpu {
         self.pc = cp.pc;
         self.halted = cp.halted;
         self.inbox = cp.inbox.clone();
-        self.traced_ensembles = cp.traced_ensembles;
-        self.fallback_ensembles = cp.fallback_ensembles;
+        self.fused_segments = cp.fused_segments;
+        self.stepped_segments = cp.stepped_segments;
         Ok(())
     }
 
@@ -1190,33 +1198,29 @@ impl Mpu {
         let waves = form_waves(&members, self.config.datapath.geometry().active_vrfs_per_rfh);
         self.stats.scheduler_waves += waves.len() as u64;
 
-        // Tier selection: a straight-line body fuses into a cached
-        // EnsembleTrace replayed flat per wave; anything else (or any
-        // configuration needing per-instruction fidelity) falls back to
-        // the per-instruction tier. Either way the lane values and every
-        // Stats counter are bit-identical.
-        let fused = self.ensemble_trace(program, body_start);
-        match &fused {
-            Some(_) => self.traced_ensembles += 1,
-            None => self.fallback_ensembles += 1,
-        }
+        // Stepping mode: configurations that need per-instruction fidelity
+        // run every decoded step on its own — an armed tracer (events are
+        // per instruction), fault injection (draws happen in program
+        // order), redundancy (snapshot/compare per instruction) and
+        // Baseline offload (a host visit per control instruction). Either
+        // way the lane values and every Stats counter are bit-identical.
+        let stepped = !self.config.trace_ensembles
+            || self.config.mode != ExecutionMode::Mpu
+            || self.tracer.is_some()
+            || self.config.recovery.redundancy != Redundancy::None
+            || self.config.fault.enabled();
+        let mut segments = SegmentMemo::new();
         let mut end_pc = body_start;
         for (index, wave) in waves.iter().enumerate() {
             self.trace(body_start, || {
                 let delta = Stats { scheduler_waves: 1, ..Stats::default() };
                 (TraceKind::Wave { index, vrfs: wave.len() }, delta)
             });
-            end_pc = match &fused {
-                Some(t) => self.run_body_traced(t, body_start, wave)?,
-                None => self.run_body(program, body_start, wave)?,
-            };
+            end_pc = self.run_body(program, body_start, wave, stepped, &mut segments)?;
         }
         if waves.is_empty() {
             // Headerless (empty) ensemble: skip to the footer.
-            end_pc = match &fused {
-                Some(t) => self.run_body_traced(t, body_start, &[])?,
-                None => self.run_body(program, body_start, &[])?,
-            };
+            end_pc = self.run_body(program, body_start, &[], stepped, &mut segments)?;
         }
         // Footer.
         self.stats.cycles += marker;
@@ -1233,57 +1237,54 @@ impl Mpu {
         Ok(())
     }
 
-    /// Interprets an ensemble body once for one wave of VRFs; returns the
-    /// index of the terminating `COMPUTE_DONE`.
+    /// Runs an ensemble body once for one wave of VRFs; returns the index
+    /// of the terminating `COMPUTE_DONE`.
+    ///
+    /// The body executes as its decoded segments ([`Self::segment_at`])
+    /// joined by the control instructions between them (`JUMP_COND`,
+    /// `JUMP`, `RETURN`), which always run one at a time; an EFI loop
+    /// re-runs its cached segments on every iteration. A segment runs
+    /// fused ([`Self::run_segment`]) unless `stepped` is set or the
+    /// watchdog would fire inside it, in which case its steps run one
+    /// instruction at a time ([`Self::exec_step`]).
     fn run_body(
         &mut self,
         program: &Program,
         body_start: usize,
         wave: &[(u16, u16)],
+        stepped: bool,
+        segments: &mut SegmentMemo,
     ) -> Result<usize, SimError> {
-        let mut pc = body_start;
-        let mut return_stack: Vec<usize> = Vec::new();
-        // RACER bit-pipelining: consecutive compute instructions overlap
-        // across bit-stages; the first instruction after a (re)fill pays
-        // full serial latency, later ones only their stage time.
-        let mut pipeline_warm = false;
-        // Baseline offload batching: one host round trip services a
-        // contiguous run of control instructions; a compute instruction
-        // ends the batch.
-        let mut offload_batch = false;
-        // Playback-buffer occupancy: bodies longer than the buffer incur
-        // refills.
-        let mut playback_used = 0usize;
-        // Watchdog: bound on body instructions per wave pass, so a
-        // fault-corrupted loop counter cannot spin the EFI forever.
-        let mut body_instructions = 0u64;
-
         // Reset masks: an ensemble starts with all lanes enabled.
         for &(rfh, vrf) in wave {
             self.vrf_mut(rfh, vrf).fill_plane(Plane::Mask, true);
         }
-
+        let mut pass = BodyPass::default();
+        let mut pc = body_start;
         loop {
+            if let Some(seg) = self.segment_at(program, pc, segments) {
+                let len = seg.steps().len();
+                let fits = self
+                    .config
+                    .recovery
+                    .watchdog_instructions
+                    .is_none_or(|limit| pass.fetches + len as u64 <= limit);
+                if stepped || !fits {
+                    self.stepped_segments += 1;
+                    for (k, step) in seg.steps().iter().enumerate() {
+                        self.fetch_one(pc + k, &mut pass)?;
+                        self.exec_step(step, pc + k, wave, &mut pass)?;
+                    }
+                } else {
+                    self.fused_segments += 1;
+                    self.run_segment(&seg, pc, wave, &mut pass)?;
+                }
+                pc += len;
+            }
             let line = pc;
             let instr = Self::fetch(program, line)?;
-            body_instructions += 1;
-            if let Some(limit) = self.config.recovery.watchdog_instructions {
-                if body_instructions > limit {
-                    return Err(SimError::WatchdogTriggered { line, instructions: limit });
-                }
-            }
-            playback_used += 1;
-            if playback_used > self.config.playback_entries {
-                playback_used = 1;
-                let refill = self.config.control.playback_refill;
-                self.charge_control(refill);
-                self.trace(line, || {
-                    let delta =
-                        Stats { cycles: refill, control_cycles: refill, ..Stats::default() };
-                    (TraceKind::PlaybackRefill, delta)
-                });
-            }
-            match instr {
+            self.fetch_one(line, &mut pass)?;
+            pc = match instr {
                 Instruction::ComputeDone => {
                     // Leave predication clean for the next ensemble.
                     for &(rfh, vrf) in wave {
@@ -1291,326 +1292,328 @@ impl Mpu {
                     }
                     return Ok(line);
                 }
+                Instruction::JumpCond { target } => {
+                    self.control_instr(
+                        line,
+                        wave,
+                        &mut pass,
+                        "JUMP_COND",
+                        self.config.control.efi_eval,
+                    );
+                    // The branch decision hands control back to the PUM
+                    // fetcher: the CPU visit ends here.
+                    pass.offload_batch = false;
+                    // EFI: jump back (continue the loop) while any lane of
+                    // any wave VRF remains enabled (§VI-B semantics).
+                    let any_enabled = wave
+                        .iter()
+                        .any(|&(rfh, vrf)| self.vrf_mut(rfh, vrf).any_lane_set(Plane::Mask));
+                    if any_enabled {
+                        target.index()
+                    } else {
+                        line + 1
+                    }
+                }
+                Instruction::Jump { target } => {
+                    self.control_instr(line, wave, &mut pass, "JUMP", self.config.control.jump);
+                    // JUMP is a call: it pushes its fall-through address
+                    // for the matching RETURN. The stack is a hardware
+                    // structure — a corrupted target re-executing JUMPs
+                    // without RETURNs must trap, not grow without bound.
+                    if pass.return_stack.len() >= RETURN_STACK_DEPTH {
+                        return Err(SimError::ReturnStackOverflow {
+                            line,
+                            depth: RETURN_STACK_DEPTH,
+                        });
+                    }
+                    pass.return_stack.push(line + 1);
+                    target.index()
+                }
+                Instruction::Return => {
+                    self.control_instr(line, wave, &mut pass, "RETURN", self.config.control.jump);
+                    pass.return_stack.pop().ok_or(SimError::ReturnUnderflow { line })?
+                }
+                // Body instructions that did not decode into a segment
+                // report their error here, as they execute.
+                Instruction::GetMask { rd } => {
+                    self.get_mask(rd, line, wave, &mut pass);
+                    line + 1
+                }
                 Instruction::Binary { .. }
                 | Instruction::Unary { .. }
                 | Instruction::Compare { .. }
                 | Instruction::Fuzzy { .. }
                 | Instruction::Cas { .. }
                 | Instruction::Init { .. } => {
-                    // In Baseline mode the CPU stays engaged across the
-                    // whole control region (it issues these datapath ops
-                    // remotely), so an open offload batch persists.
-                    self.exec_compute_instr(&instr, wave, &mut pipeline_warm, line)?;
-                    pc += 1;
-                }
-                Instruction::SetMask { rs } => {
-                    self.control_or_offload(wave, &mut pipeline_warm, &mut offload_batch, line);
-                    let c = self.config.control.mask_update;
-                    self.charge_control(c);
-                    for &(rfh, vrf) in wave {
-                        let v = self.vrf_mut(rfh, vrf);
-                        if rs == COND_REG {
-                            v.copy_plane(Plane::Cond, Plane::Mask);
-                        } else {
-                            v.copy_plane(Plane::Reg { reg: rs.0 as u8, bit: 0 }, Plane::Mask);
-                        }
-                    }
-                    self.stats.instructions += 1;
-                    self.trace_control_instr(line, "SETMASK", c);
-                    pc += 1;
-                }
-                Instruction::GetMask { rd } => {
-                    self.control_or_offload(wave, &mut pipeline_warm, &mut offload_batch, line);
-                    let c = self.config.control.mask_readout;
-                    self.charge_control(c);
-                    for &(rfh, vrf) in wave {
-                        let v = self.vrf_mut(rfh, vrf);
-                        v.set_mask_enabled(false);
-                        v.copy_plane(Plane::Mask, Plane::Reg { reg: rd.0 as u8, bit: 0 });
-                        for bit in 1..64 {
-                            v.fill_plane(Plane::Reg { reg: rd.0 as u8, bit }, false);
-                        }
-                        v.set_mask_enabled(true);
-                    }
-                    self.stats.instructions += 1;
-                    self.trace_control_instr(line, "GETMASK", c);
-                    pc += 1;
-                }
-                Instruction::Unmask => {
-                    self.control_or_offload(wave, &mut pipeline_warm, &mut offload_batch, line);
-                    let c = self.config.control.mask_update;
-                    self.charge_control(c);
-                    for &(rfh, vrf) in wave {
-                        self.vrf_mut(rfh, vrf).fill_plane(Plane::Mask, true);
-                    }
-                    self.stats.instructions += 1;
-                    self.trace_control_instr(line, "UNMASK", c);
-                    pc += 1;
-                }
-                Instruction::JumpCond { target } => {
-                    self.control_or_offload(wave, &mut pipeline_warm, &mut offload_batch, line);
-                    // The branch decision hands control back to the PUM
-                    // fetcher: the CPU visit ends here.
-                    offload_batch = false;
-                    let c = self.config.control.efi_eval;
-                    self.charge_control(c);
-                    // EFI: jump back (continue the loop) while any lane of
-                    // any wave VRF remains enabled (§VI-B semantics).
-                    let any_enabled = wave
-                        .iter()
-                        .any(|&(rfh, vrf)| self.vrf_mut(rfh, vrf).any_lane_set(Plane::Mask));
-                    self.stats.instructions += 1;
-                    self.trace_control_instr(line, "JUMP_COND", c);
-                    pc = if any_enabled { target.index() } else { pc + 1 };
-                }
-                Instruction::Jump { target } => {
-                    self.control_or_offload(wave, &mut pipeline_warm, &mut offload_batch, line);
-                    let c = self.config.control.jump;
-                    self.charge_control(c);
-                    self.stats.instructions += 1;
-                    self.trace_control_instr(line, "JUMP", c);
-                    // JUMP is a call: it pushes its fall-through address
-                    // for the matching RETURN. The stack is a hardware
-                    // structure — a corrupted target re-executing JUMPs
-                    // without RETURNs must trap, not grow without bound.
-                    if return_stack.len() >= RETURN_STACK_DEPTH {
-                        return Err(SimError::ReturnStackOverflow {
-                            line,
-                            depth: RETURN_STACK_DEPTH,
-                        });
-                    }
-                    return_stack.push(pc + 1);
-                    pc = target.index();
-                }
-                Instruction::Return => {
-                    self.control_or_offload(wave, &mut pipeline_warm, &mut offload_batch, line);
-                    let c = self.config.control.jump;
-                    self.charge_control(c);
-                    self.stats.instructions += 1;
-                    self.trace_control_instr(line, "RETURN", c);
-                    pc = return_stack.pop().ok_or(SimError::ReturnUnderflow { line })?;
-                }
-                Instruction::Nop => {
-                    // A NOP is a control instruction like every other body
-                    // control op: in Baseline mode it rides a CPU offload
-                    // visit (draining the bit pipeline and opening/joining
-                    // a batch) exactly as SETMASK/JUMP do.
-                    self.control_or_offload(wave, &mut pipeline_warm, &mut offload_batch, line);
-                    let c = self.config.control.nop;
-                    self.charge_control(c);
-                    self.stats.instructions += 1;
-                    self.trace_control_instr(line, "NOP", c);
-                    pc += 1;
+                    return Err(SimError::RecipeUnavailable { line, mnemonic: instr.mnemonic() });
                 }
                 ref other => {
                     return Err(SimError::StrayInstruction { line, mnemonic: other.mnemonic() });
                 }
-            }
+            };
         }
     }
 
-    /// Tier-selection policy: returns the fused [`EnsembleTrace`] for the
-    /// body starting at `body_start` when it is eligible for the trace
-    /// tier, or `None` to fall back to per-instruction execution.
-    ///
-    /// Eligible bodies are straight-line: only compute instructions,
-    /// `SETMASK`/`UNMASK`, and `NOP`, terminated by `COMPUTE_DONE` — no
-    /// data-dependent control flow (`JUMP_COND`/EFI, `JUMP`/`RETURN`) and
-    /// no mid-body mask readout (`GETMASK`). Configurations that need
-    /// per-instruction fidelity also fall back: interpreted-recipe mode,
-    /// Baseline offload mode, an armed tracer (events are per
-    /// instruction), fault injection (draws must happen in program
-    /// order), redundancy (snapshot/compare per instruction), and a
-    /// watchdog tighter than the body (it must still be able to fire).
-    fn ensemble_trace(
+    /// The decoded segment starting at `pc`: the longest run of body
+    /// instructions from there that fuse (see
+    /// [`pum_backend::fuse_segment_with`]), or `None` when the instruction
+    /// at `pc` does not — a control transfer, `COMPUTE_DONE`, or an
+    /// instruction that reports its error as it executes. Resolved through
+    /// the recipe cache once per ensemble and memoized by `pc` in `memo`,
+    /// so later waves and loop iterations re-run it without re-decoding.
+    fn segment_at(
         &mut self,
         program: &Program,
-        body_start: usize,
-    ) -> Option<Arc<EnsembleTrace>> {
-        if !self.config.trace_ensembles
-            || self.config.mode != ExecutionMode::Mpu
-            || self.config.interpret_recipes
-            || self.tracer.is_some()
-            || self.config.recovery.redundancy != Redundancy::None
-            || self.config.fault.enabled()
-        {
-            return None;
+        pc: usize,
+        memo: &mut SegmentMemo,
+    ) -> Option<Arc<BodySegment>> {
+        if let Some(seg) = memo.get(&pc) {
+            return seg.clone();
         }
-        let mut end = body_start;
-        loop {
-            match program.get(end)? {
-                Instruction::ComputeDone => break,
-                Instruction::Binary { .. }
-                | Instruction::Unary { .. }
-                | Instruction::Compare { .. }
-                | Instruction::Fuzzy { .. }
-                | Instruction::Cas { .. }
-                | Instruction::Init { .. }
-                | Instruction::SetMask { .. }
-                | Instruction::Unmask
-                | Instruction::Nop => end += 1,
-                _ => return None,
-            }
-        }
-        if let Some(limit) = self.config.recovery.watchdog_instructions {
-            // The per-instruction tier fetches every body step plus the
-            // terminating COMPUTE_DONE; if that would trip the watchdog,
-            // it must actually trip.
-            if (end - body_start) as u64 + 1 > limit {
-                return None;
-            }
-        }
-        self.cache.lookup_trace(&self.config.datapath, &program.instructions()[body_start..end])
+        let body = program.instructions().get(pc..).unwrap_or_default();
+        let len = pum_backend::segment_len(body);
+        let seg = (len > 0)
+            .then(|| self.cache.lookup_segment(&self.config.datapath, &body[..len]))
+            .filter(|seg| !seg.steps().is_empty());
+        memo.insert(pc, seg.clone());
+        seg
     }
 
-    /// Replays a fused ensemble trace once for one wave of VRFs: the flat
-    /// word-loop op stream runs directly over each VRF's storage buffer
-    /// while precomputed per-step costs are charged. Returns the index of
-    /// the terminating `COMPUTE_DONE`, exactly like [`Self::run_body`],
-    /// and leaves every statistic bit-identical to it — including the
-    /// per-instruction template-table probes (the architectural recipe
-    /// cache still sees every compute step) and the playback-refill
-    /// charges, which commute and are settled in one batch at the end.
-    fn run_body_traced(
-        &mut self,
-        trace: &Arc<EnsembleTrace>,
-        body_start: usize,
-        wave: &[(u16, u16)],
-    ) -> Result<usize, SimError> {
-        // Reset masks: an ensemble starts with all lanes enabled.
-        for &(rfh, vrf) in wave {
-            self.vrf_mut(rfh, vrf).fill_plane(Plane::Mask, true);
+    /// Counts one body fetch: trips the watchdog (a bound on fetches per
+    /// wave pass, so a fault-corrupted loop counter cannot spin the EFI
+    /// forever) and charges a playback-buffer refill when one is due.
+    fn fetch_one(&mut self, line: usize, pass: &mut BodyPass) -> Result<(), SimError> {
+        pass.fetches += 1;
+        if let Some(limit) = self.config.recovery.watchdog_instructions {
+            if pass.fetches > limit {
+                return Err(SimError::WatchdogTriggered { line, instructions: limit });
+            }
         }
-        let penalty = self.config.control.recipe_miss_penalty;
-        let steps = trace.steps();
-        // When fusion proved the op stream never writes the mask plane,
-        // each VRF's lane mask — and with it every step's enabled count —
-        // is invariant across a contiguous run of compute steps, so the
-        // run can be accounted step-by-step (program order, identical
-        // charges) and then executed as one flat op pass per VRF, keeping
-        // each VRF's storage L1-resident instead of interleaving VRFs at
-        // every step.
-        let batch = trace.fast();
+        let entries = self.config.playback_entries;
+        if refills_through(pass.fetches, entries) > refills_through(pass.fetches - 1, entries) {
+            let refill = self.config.control.playback_refill;
+            self.charge_control(refill);
+            self.trace(line, || {
+                let delta = Stats { cycles: refill, control_cycles: refill, ..Stats::default() };
+                (TraceKind::PlaybackRefill, delta)
+            });
+        }
+        Ok(())
+    }
+
+    /// Counts `n` body fetches the watchdog is known to allow, settling
+    /// their playback refills in one batch: each refill is a u64 add to
+    /// the cycle counters, so one sum equals charging them in-line.
+    fn fetch_many(&mut self, n: u64, pass: &mut BodyPass) {
+        let entries = self.config.playback_entries;
+        let due =
+            refills_through(pass.fetches + n, entries) - refills_through(pass.fetches, entries);
+        pass.fetches += n;
+        if due > 0 {
+            self.charge_control(due * self.config.control.playback_refill);
+        }
+    }
+
+    /// Runs a fused segment once for one wave. Between mask writes, a
+    /// run of steps is accounted step by step in program order — the
+    /// architectural template table sees the per-instruction probe stream,
+    /// and energy reads each VRF's enabled count before each step (the
+    /// counts hold across the run, whose ops never write the mask) — then
+    /// executes as one word-loop pass per VRF, keeping each VRF's storage
+    /// L1-resident instead of interleaving VRFs at every step. The
+    /// segment's fetches are counted at the end, in one batch.
+    fn run_segment(
+        &mut self,
+        seg: &BodySegment,
+        start: usize,
+        wave: &[(u16, u16)],
+        pass: &mut BodyPass,
+    ) -> Result<(), SimError> {
+        let steps = seg.steps();
         let mut i = 0;
         while i < steps.len() {
-            let line = body_start + i;
-            match &steps[i] {
-                EnsembleStep::Compute { .. } => {
-                    let mut j = i + 1;
-                    while batch
-                        && j < steps.len()
-                        && matches!(steps[j], EnsembleStep::Compute { .. })
-                    {
-                        j += 1;
-                    }
-                    // Architectural accounting, per step in program order.
-                    for (k, step) in steps[i..j].iter().enumerate() {
-                        let EnsembleStep::Compute { instr, cycles, uops, saved, .. } = step else {
-                            unreachable!("run boundaries split at non-compute steps");
-                        };
-                        // The architectural template table sees the same
-                        // per-instruction probe stream as run_body, so LRU
-                        // order and hit/miss counters match bit-for-bit.
+            if steps[i].writes_mask() {
+                self.exec_step(&steps[i], start + i, wave, pass)?;
+                i += 1;
+                continue;
+            }
+            let mut j = i + 1;
+            while seg.batch() && j < steps.len() && !steps[j].writes_mask() {
+                j += 1;
+            }
+            for (k, step) in steps.iter().enumerate().take(j).skip(i) {
+                match step {
+                    SegmentStep::Compute { instr, serial, warm, uops, saved, .. } => {
                         let Some((_, outcome)) =
                             self.cache.lookup_traced(&self.config.datapath, instr)
                         else {
+                            self.fetch_many(k as u64 + 1, pass);
                             return Err(SimError::RecipeUnavailable {
-                                line: line + k,
+                                line: start + k,
                                 mnemonic: instr.mnemonic(),
                             });
                         };
-                        if outcome.hit {
-                            self.stats.recipe_hits += 1;
+                        let cycles = if self.issue_compute(instr, outcome, start + k, pass) {
+                            *warm
                         } else {
-                            self.stats.recipe_misses += 1;
-                            self.charge_control(penalty);
-                        }
-                        self.stats.instructions += 1;
+                            *serial
+                        };
                         self.stats.cycles += cycles;
                         self.stats.compute_cycles += cycles;
                         self.stats.uops += u64::from(*uops);
                         self.stats.uops_saved += u64::from(*saved);
-                        // Energy reads each VRF's enabled count exactly as
-                        // run_body does *before* the step executes — the
-                        // masks are invariant across the run (batched
-                        // case) or the run is this single step.
                         let mut energy = 0.0;
                         for &(rfh, vrf) in wave {
                             let enabled = self.vrf_mut(rfh, vrf).mask_lanes();
-                            energy += trace.step_energy_pj(step, enabled);
+                            energy += seg.step_energy_pj(step, enabled);
                         }
                         self.stats.energy.datapath_pj += energy;
                     }
-                    // Execution: the run's fused ops, one VRF at a time.
-                    // VRFs are independent, so per-VRF state is identical
-                    // to the step-interleaved order.
-                    for &(rfh, vrf) in wave {
-                        trace.run_steps(i..j, self.vrf_mut(rfh, vrf));
+                    SegmentStep::GetMask { .. } => {
+                        self.charge_control(self.config.control.mask_readout);
+                        self.stats.instructions += 1;
                     }
-                    i = j;
-                    continue;
-                }
-                EnsembleStep::SetMask { rs } => {
-                    self.charge_control(self.config.control.mask_update);
-                    for &(rfh, vrf) in wave {
-                        let v = self.vrf_mut(rfh, vrf);
-                        if *rs == COND_REG {
-                            v.copy_plane(Plane::Cond, Plane::Mask);
-                        } else {
-                            v.copy_plane(Plane::Reg { reg: rs.0 as u8, bit: 0 }, Plane::Mask);
-                        }
+                    SegmentStep::Nop => {
+                        self.charge_control(self.config.control.nop);
+                        self.stats.instructions += 1;
                     }
-                    self.stats.instructions += 1;
-                }
-                EnsembleStep::Unmask => {
-                    self.charge_control(self.config.control.mask_update);
-                    for &(rfh, vrf) in wave {
-                        self.vrf_mut(rfh, vrf).fill_plane(Plane::Mask, true);
+                    SegmentStep::SetMask { .. } | SegmentStep::Unmask => {
+                        unreachable!("runs end at mask writes")
                     }
-                    self.stats.instructions += 1;
-                }
-                EnsembleStep::Nop => {
-                    self.charge_control(self.config.control.nop);
-                    self.stats.instructions += 1;
                 }
             }
-            i += 1;
+            // VRFs are independent, so per-VRF state is identical to the
+            // step-interleaved order.
+            for &(rfh, vrf) in wave {
+                seg.run_steps(i..j, self.vrf_mut(rfh, vrf));
+            }
+            i = j;
         }
-        // Playback refills: run_body counts every fetch (N body steps plus
-        // the COMPUTE_DONE) and refills at each `playback_entries`-th
-        // fetch after the initial fill — floor(N / entries) refills. The
-        // charges are u64 adds, so settling them in one batch here is
-        // Stats-identical to charging them in-line.
-        let refills = trace.steps().len() as u64 / self.config.playback_entries as u64;
-        if refills > 0 {
-            self.charge_control(refills * self.config.control.playback_refill);
+        self.fetch_many(steps.len() as u64, pass);
+        Ok(())
+    }
+
+    /// Executes one decoded step on its own, with its trace events,
+    /// Baseline offload visit, fault draws and redundancy.
+    fn exec_step(
+        &mut self,
+        step: &SegmentStep,
+        line: usize,
+        wave: &[(u16, u16)],
+        pass: &mut BodyPass,
+    ) -> Result<(), SimError> {
+        match *step {
+            SegmentStep::Compute { instr, .. } => {
+                return self.exec_compute_instr(&instr, wave, pass, line)
+            }
+            SegmentStep::GetMask { rd, .. } => self.get_mask(rd, line, wave, pass),
+            SegmentStep::SetMask { rs } => {
+                self.control_instr(line, wave, pass, "SETMASK", self.config.control.mask_update);
+                for &(rfh, vrf) in wave {
+                    let v = self.vrf_mut(rfh, vrf);
+                    if rs == COND_REG {
+                        v.copy_plane(Plane::Cond, Plane::Mask);
+                    } else {
+                        v.copy_plane(Plane::Reg { reg: rs.0 as u8, bit: 0 }, Plane::Mask);
+                    }
+                }
+            }
+            SegmentStep::Unmask => {
+                self.control_instr(line, wave, pass, "UNMASK", self.config.control.mask_update);
+                for &(rfh, vrf) in wave {
+                    self.vrf_mut(rfh, vrf).fill_plane(Plane::Mask, true);
+                }
+            }
+            // A NOP is a control instruction like every other body control
+            // op: in Baseline mode it rides a CPU offload visit (draining
+            // the bit pipeline and opening/joining a batch) exactly as
+            // SETMASK/JUMP do.
+            SegmentStep::Nop => {
+                self.control_instr(line, wave, pass, "NOP", self.config.control.nop)
+            }
         }
-        // Leave predication clean for the next ensemble.
+        Ok(())
+    }
+
+    /// `GETMASK rd` for one wave: mask-honouring suspended, the mask copied
+    /// into bit 0 of `rd` and bits 1..63 cleared.
+    fn get_mask(&mut self, rd: RegId, line: usize, wave: &[(u16, u16)], pass: &mut BodyPass) {
+        self.control_instr(line, wave, pass, "GETMASK", self.config.control.mask_readout);
         for &(rfh, vrf) in wave {
-            self.vrf_mut(rfh, vrf).fill_plane(Plane::Mask, true);
+            self.vrf_mut(rfh, vrf).copy_mask_to(rd.0 as u8);
         }
-        Ok(body_start + trace.steps().len())
+    }
+
+    /// Charges one body control instruction: its Baseline offload visit,
+    /// its control cycles and the instruction count.
+    fn control_instr(
+        &mut self,
+        line: usize,
+        wave: &[(u16, u16)],
+        pass: &mut BodyPass,
+        mnemonic: &'static str,
+        cycles: u64,
+    ) {
+        self.control_or_offload(wave, pass, line);
+        self.charge_control(cycles);
+        self.stats.instructions += 1;
+        self.trace_control_instr(line, mnemonic, cycles);
     }
 
     /// Issues one compute instruction to every VRF of the wave, under the
-    /// configured redundancy policy.
+    /// configured redundancy policy. Costs come from the cost model applied
+    /// to the recipe the template table returned — not from a segment's
+    /// precomputed annotations — so stepping stays an independent
+    /// reference for fused execution's costs.
     fn exec_compute_instr(
         &mut self,
         instr: &Instruction,
         wave: &[(u16, u16)],
-        pipeline_warm: &mut bool,
+        pass: &mut BodyPass,
         line: usize,
     ) -> Result<(), SimError> {
         let (cached, outcome) = match self.cache.lookup_traced(&self.config.datapath, instr) {
             Some(r) => r,
             // Never silently drop work: a compute instruction without a
-            // synthesizable recipe is a hard error (and the canary that
-            // keeps tier fallback paths honest).
+            // synthesizable recipe is a hard error.
             None => return Err(SimError::RecipeUnavailable { line, mnemonic: instr.mnemonic() }),
         };
-        let recipe: Arc<Recipe> = Arc::clone(&cached.recipe);
+        let warm = self.issue_compute(instr, outcome, line, pass);
+        let dp = &self.config.datapath;
+        let cycles = if warm && dp.bit_pipelined() {
+            dp.recipe_stage_cycles(&cached.recipe)
+        } else {
+            dp.recipe_cycles(&cached.recipe)
+        };
+        let exec = WaveExec { cached: &cached, cycles, line };
+        match self.config.recovery.redundancy {
+            Redundancy::None => {
+                self.run_wave_once(&exec, wave);
+                Ok(())
+            }
+            Redundancy::Dmr => self.run_wave_dmr(&exec, wave),
+            Redundancy::Tmr => {
+                self.run_wave_tmr(&exec, wave);
+                Ok(())
+            }
+        }
+    }
+
+    /// Issues one compute instruction: charges its template lookup (MPU
+    /// mode caches templates; Baseline decodes every time) and the
+    /// instruction, and returns whether the bit pipeline was warm — issue
+    /// then costs stage time instead of serial latency on bit-pipelined
+    /// backends (RACER overlaps consecutive instructions across
+    /// bit-stages). Micro-ops are broadcast to all wave VRFs, so issue
+    /// time does not scale with wave size.
+    fn issue_compute(
+        &mut self,
+        instr: &Instruction,
+        outcome: LookupOutcome,
+        line: usize,
+        pass: &mut BodyPass,
+    ) -> bool {
         let penalty = self.config.control.recipe_miss_penalty;
-        // Decode cost: MPU caches templates; Baseline decodes every time.
         let hit = match self.config.mode {
             ExecutionMode::Mpu => outcome.hit,
             ExecutionMode::Baseline => false,
@@ -1634,71 +1637,38 @@ impl Mpu {
             };
             (TraceKind::RecipeLookup { hit, pool: outcome.pool }, delta)
         });
-
-        // Timing: micro-ops are broadcast to all wave VRFs, so issue time
-        // does not scale with wave size. RACER overlaps consecutive
-        // instructions across bit-stages once the pipeline is warm.
-        let serial = self.config.datapath.recipe_cycles(&recipe);
-        let cycles = if self.config.datapath.bit_pipelined() && *pipeline_warm {
-            self.config.datapath.recipe_stage_cycles(&recipe)
-        } else {
-            serial
-        };
-        *pipeline_warm = true;
+        let warm = std::mem::replace(&mut pass.pipeline_warm, true);
         self.stats.instructions += 1;
         let mnemonic = instr.mnemonic();
         self.trace(line, || {
             let delta = Stats { instructions: 1, ..Stats::default() };
             (TraceKind::Instr { mnemonic, class: InstrClass::Compute }, delta)
         });
-
-        match self.config.recovery.redundancy {
-            Redundancy::None => {
-                self.run_wave_once(&cached, &recipe, wave, cycles, line);
-                Ok(())
-            }
-            Redundancy::Dmr => self.run_wave_dmr(&cached, &recipe, wave, cycles, line),
-            Redundancy::Tmr => {
-                self.run_wave_tmr(&cached, &recipe, wave, cycles, line);
-                Ok(())
-            }
-        }
+        warm
     }
 
-    /// One functional execution of a recipe over the wave, charging its
-    /// issue cycles, micro-ops, and datapath energy (only enabled lanes
-    /// burn switching energy — the mask power-gates the drivers). The
-    /// compiled form executes the same plane writes as interpreting
-    /// `recipe.ops()`, with plane addresses pre-resolved; the enabled
-    /// lane count comes from the VRF's cached mask popcount.
-    fn run_wave_once(
-        &mut self,
-        cached: &crate::recipe_cache::CachedRecipe,
-        recipe: &Recipe,
-        wave: &[(u16, u16)],
-        cycles: u64,
-        line: usize,
-    ) {
+    /// One functional execution of a compute instruction over the wave,
+    /// charging its issue cycles, micro-ops, and datapath energy (only
+    /// enabled lanes burn switching energy — the mask power-gates the
+    /// drivers). The recipe runs in its compiled form, so fault-site draws
+    /// follow it op by op; the enabled lane count comes from the VRF's
+    /// cached mask popcount.
+    fn run_wave_once(&mut self, exec: &WaveExec<'_>, wave: &[(u16, u16)]) {
+        let recipe = &exec.cached.recipe;
+        let cycles = exec.cycles;
         self.stats.cycles += cycles;
         self.stats.compute_cycles += cycles;
         self.stats.uops += recipe.len() as u64;
         self.stats.uops_saved += u64::from(recipe.saved_uops());
         let mut energy = 0.0;
-        let interpret = self.config.interpret_recipes;
         for &(rfh, vrf) in wave {
             let v = self.vrf_mut(rfh, vrf);
             let enabled = v.mask_lanes();
-            if interpret {
-                for op in recipe.ops() {
-                    op.apply(v);
-                }
-            } else {
-                v.run_compiled(&cached.compiled);
-            }
+            v.run_compiled(&exec.cached.compiled);
             energy += self.config.datapath.recipe_energy_pj(recipe, enabled);
         }
         self.stats.energy.datapath_pj += energy;
-        self.trace(line, || {
+        self.trace(exec.line, || {
             let delta = Stats {
                 cycles,
                 compute_cycles: cycles,
@@ -1707,7 +1677,8 @@ impl Mpu {
                 energy: EnergyStats { datapath_pj: energy, ..EnergyStats::default() },
                 ..Stats::default()
             };
-            (TraceKind::Exec { vrfs: wave.len(), mix: UopMix(cached.compiled.mix()) }, delta)
+            let mix = UopMix(exec.cached.compiled.mix());
+            (TraceKind::Exec { vrfs: wave.len(), mix }, delta)
         });
     }
 
@@ -1735,24 +1706,18 @@ impl Mpu {
     /// is a detected fault; retry the pair (fresh fault draws each time)
     /// up to the retry budget, then escalate as
     /// [`SimError::UncorrectedFault`].
-    fn run_wave_dmr(
-        &mut self,
-        cached: &crate::recipe_cache::CachedRecipe,
-        recipe: &Recipe,
-        wave: &[(u16, u16)],
-        cycles: u64,
-        line: usize,
-    ) -> Result<(), SimError> {
+    fn run_wave_dmr(&mut self, exec: &WaveExec<'_>, wave: &[(u16, u16)]) -> Result<(), SimError> {
+        let line = exec.line;
         let scratch = self.wave_scratch_ranges(wave);
         let input = self.snapshot_wave(wave);
         let mut attempt = 0u32;
         loop {
-            self.run_wave_once(cached, recipe, wave, cycles, line);
+            self.run_wave_once(exec, wave);
             let first = self.snapshot_wave(wave);
             self.restore_wave(wave, &input);
             self.stats.faults.redundant_runs += 1;
             self.trace_fault(line, FaultAction::RedundantRun);
-            self.run_wave_once(cached, recipe, wave, cycles, line);
+            self.run_wave_once(exec, wave);
             let second = self.snapshot_wave(wave);
             if arch_images_agree(&first, &second, &scratch) {
                 if attempt > 0 {
@@ -1779,27 +1744,21 @@ impl Mpu {
     /// comparison) is judged on architectural planes only; the majority
     /// vote itself spans the full image, which is harmless for scratch —
     /// recipes never read scratch they did not first write.
-    fn run_wave_tmr(
-        &mut self,
-        cached: &crate::recipe_cache::CachedRecipe,
-        recipe: &Recipe,
-        wave: &[(u16, u16)],
-        cycles: u64,
-        line: usize,
-    ) {
+    fn run_wave_tmr(&mut self, exec: &WaveExec<'_>, wave: &[(u16, u16)]) {
+        let line = exec.line;
         let scratch = self.wave_scratch_ranges(wave);
         let input = self.snapshot_wave(wave);
-        self.run_wave_once(cached, recipe, wave, cycles, line);
+        self.run_wave_once(exec, wave);
         let a = self.snapshot_wave(wave);
         self.restore_wave(wave, &input);
         self.stats.faults.redundant_runs += 1;
         self.trace_fault(line, FaultAction::RedundantRun);
-        self.run_wave_once(cached, recipe, wave, cycles, line);
+        self.run_wave_once(exec, wave);
         let b = self.snapshot_wave(wave);
         self.restore_wave(wave, &input);
         self.stats.faults.redundant_runs += 1;
         self.trace_fault(line, FaultAction::RedundantRun);
-        self.run_wave_once(cached, recipe, wave, cycles, line);
+        self.run_wave_once(exec, wave);
         let c = self.snapshot_wave(wave);
         if arch_images_agree(&a, &b, &scratch) && arch_images_agree(&a, &c, &scratch) {
             return; // unanimous; current state (== c) stands
@@ -1825,21 +1784,15 @@ impl Mpu {
     /// evaluates the whole mask/branch sequence in one visit); follow-on
     /// instructions within a batch only pay the bus transfer and a short
     /// CPU handling time.
-    fn control_or_offload(
-        &mut self,
-        wave: &[(u16, u16)],
-        pipeline_warm: &mut bool,
-        offload_batch: &mut bool,
-        line: usize,
-    ) {
+    fn control_or_offload(&mut self, wave: &[(u16, u16)], pass: &mut BodyPass, line: usize) {
         if self.config.mode != ExecutionMode::Baseline {
             return;
         }
-        *pipeline_warm = false; // offload drains the pipeline
+        pass.pipeline_warm = false; // offload drains the pipeline
         let lanes = self.config.datapath.geometry().lanes_per_vrf;
         let bytes = (wave.len().max(1) * lanes).div_ceil(8) as f64;
         let off = &self.config.offload;
-        let batched = *offload_batch;
+        let batched = pass.offload_batch;
         let bus_cycles = (bytes / off.bus_bytes_per_cycle).ceil() as u64;
         let cycles = if batched {
             // Already at the CPU: per-instruction handling + data movement.
@@ -1848,7 +1801,7 @@ impl Mpu {
             self.stats.offload_events += 1;
             off.round_trip_cycles + bus_cycles
         };
-        *offload_batch = true;
+        pass.offload_batch = true;
         let bus_pj = bytes * off.bus_pj_per_byte;
         let cpu_pj = off.cpu_active_mw * cycles as f64;
         self.stats.cycles += cycles;
@@ -2098,6 +2051,50 @@ impl Mpu {
     /// Advances the local clock (NoC delays, rendezvous waits).
     pub fn advance_to(&mut self, cycle: u64) {
         self.stats.cycles = self.stats.cycles.max(cycle);
+    }
+}
+
+/// Decoded segments of one ensemble's body by start line (`None`: no
+/// segment starts there). Lives for one ensemble.
+type SegmentMemo = HashMap<usize, Option<Arc<BodySegment>>>;
+
+/// Control-path state of one wave pass over an ensemble body.
+#[derive(Debug, Default)]
+struct BodyPass {
+    /// Body fetches so far, control instructions and the terminating
+    /// `COMPUTE_DONE` included: the watchdog's count and the playback
+    /// buffer's position.
+    fetches: u64,
+    /// RACER bit-pipelining: consecutive compute instructions overlap
+    /// across bit-stages; the first instruction after a (re)fill pays full
+    /// serial latency, later ones only their stage time. Only a Baseline
+    /// offload drains the pipeline, so in MPU mode it stays warm across
+    /// control instructions and loop iterations.
+    pipeline_warm: bool,
+    /// Baseline offload batching: one host round trip services a
+    /// contiguous run of control instructions; a branch decision ends the
+    /// batch.
+    offload_batch: bool,
+    /// Return addresses pushed by `JUMP`.
+    return_stack: Vec<usize>,
+}
+
+/// One compute instruction as issued to a wave: the recipe it executes
+/// and its issue cycles.
+struct WaveExec<'a> {
+    cached: &'a crate::recipe_cache::CachedRecipe,
+    cycles: u64,
+    line: usize,
+}
+
+/// Playback-buffer refills charged by the first `fetches` fetches of a
+/// wave pass: the buffer holds `entries` instructions, and a refill is due
+/// on every fetch that overflows it — the `entries + 1`-th, the
+/// `2·entries + 1`-th, and so on (every fetch for a zero-entry buffer).
+fn refills_through(fetches: u64, entries: usize) -> u64 {
+    match entries as u64 {
+        0 => fetches,
+        entries => fetches.saturating_sub(1) / entries,
     }
 }
 
@@ -2742,8 +2739,8 @@ mod tests {
         // A recipe-less instruction reaching the compute path must trap,
         // not silently skip the work (the old behavior returned Ok).
         let mut mpu = Mpu::new(racer(), mpu_isa::MpuId(0));
-        let mut warm = false;
-        let err = mpu.exec_compute_instr(&Instruction::Nop, &[], &mut warm, 7).unwrap_err();
+        let mut pass = BodyPass::default();
+        let err = mpu.exec_compute_instr(&Instruction::Nop, &[], &mut pass, 7).unwrap_err();
         assert!(
             matches!(err, SimError::RecipeUnavailable { line: 7, mnemonic: "NOP" }),
             "got {err:?}"
@@ -2811,31 +2808,47 @@ mod tests {
              COMPUTE_DONE")
     }
 
-    #[test]
-    fn trace_tier_is_bit_identical_to_per_instruction_execution() {
-        let p = straight_line_program();
-        let inputs: [((u16, u16, u8), Vec<u64>); 2] =
-            [((0, 0, 0), (0..64).collect()), ((0, 0, 1), vec![13; 64])];
-        let mut compiled_cfg = racer();
-        compiled_cfg.trace_ensembles = false;
-        let (want, mut want_mpu) = run_single(compiled_cfg, &p, &inputs).unwrap();
-        let (got, mut got_mpu) = run_single(racer(), &p, &inputs).unwrap();
-        assert_eq!(want, got, "Stats must match bit-for-bit across tiers");
-        for reg in 0..5 {
+    /// Runs `p` stepped and fused; asserts identical Stats, recipe-cache
+    /// state and registers `r0..regs`, and returns the fused machine.
+    fn assert_modes_agree(p: &Program, inputs: &[RegisterInit], regs: u8) -> Mpu {
+        let mut stepped_cfg = racer();
+        stepped_cfg.trace_ensembles = false;
+        let (want, mut want_mpu) = run_single(stepped_cfg, p, inputs).unwrap();
+        let (got, mut got_mpu) = run_single(racer(), p, inputs).unwrap();
+        assert_eq!(want, got, "Stats must match bit-for-bit across modes");
+        let cache = |m: &Mpu| {
+            let c = m.recipe_cache();
+            (c.hits(), c.misses(), c.tick(), c.lru_order())
+        };
+        assert_eq!(
+            cache(&want_mpu),
+            cache(&got_mpu),
+            "the template table must see one probe stream"
+        );
+        for reg in 0..regs {
             assert_eq!(
                 want_mpu.read_register(0, 0, reg).unwrap(),
                 got_mpu.read_register(0, 0, reg).unwrap(),
                 "r{reg}"
             );
         }
-        assert_eq!(got_mpu.tier_counts(), (1, 0), "the body must run on the trace tier");
-        assert_eq!(want_mpu.tier_counts(), (0, 1), "trace_ensembles=false must fall back");
+        let (_, runs) = want_mpu.tier_counts();
+        assert_eq!(want_mpu.tier_counts(), (0, runs), "trace_ensembles=false must step");
+        assert!(runs > 0);
+        assert_eq!(got_mpu.tier_counts(), (runs, 0), "every segment run must fuse");
+        got_mpu
     }
 
     #[test]
-    fn trace_tier_replays_thermal_waves() {
-        // Two VRFs of one RACER RFH: the trace replays once per wave and
-        // the results and statistics still match the fallback tier.
+    fn fused_segments_are_bit_identical_to_stepping() {
+        let inputs = [((0, 0, 0), (0..64).collect()), ((0, 0, 1), vec![13; 64])];
+        assert_modes_agree(&straight_line_program(), &inputs, 5);
+    }
+
+    #[test]
+    fn fused_segments_replay_thermal_waves() {
+        // Two VRFs of one RACER RFH: the segment replays once per wave and
+        // the results and statistics still match stepping.
         let p = asm("COMPUTE h0 v0\nCOMPUTE h0 v1\nADD r0 r0 r1\nINC r1 r2\nCOMPUTE_DONE");
         let inputs: [((u16, u16, u8), Vec<u64>); 2] =
             [((0, 0, 0), vec![4; 64]), ((0, 1, 0), vec![9; 64])];
@@ -2845,7 +2858,7 @@ mod tests {
         let (got, mut m2) = run_single(racer(), &p, &inputs).unwrap();
         assert_eq!(want.scheduler_waves, 2);
         assert_eq!(want, got);
-        assert_eq!(m2.tier_counts(), (1, 0));
+        assert_eq!(m2.tier_counts(), (2, 0), "one fused segment run per wave");
         for (rfh, vrf) in [(0, 0), (0, 1)] {
             assert_eq!(
                 m1.read_register(rfh, vrf, 2).unwrap(),
@@ -2855,8 +2868,9 @@ mod tests {
     }
 
     #[test]
-    fn data_dependent_bodies_fall_back_to_the_compiled_tier() {
-        // EFI loop: not straight-line → per-instruction execution.
+    fn data_dependent_bodies_fuse_between_control_instructions() {
+        // EFI loop: the segments between JUMP_COND re-run per iteration,
+        // and the pipeline stays warm across the back edge.
         let efi = Program::from_instructions(vec![
             Instruction::Compute { rfh: 0.into(), vrf: VrfId(0) },
             Instruction::Compare { op: CompareOp::Gt, rs: RegId(0), rt: RegId(1) },
@@ -2866,51 +2880,81 @@ mod tests {
             Instruction::Unmask,
             Instruction::ComputeDone,
         ]);
-        let inputs: [((u16, u16, u8), Vec<u64>); 3] =
-            [((0, 0, 0), vec![3; 64]), ((0, 0, 1), vec![0; 64]), ((0, 0, 2), vec![1; 64])];
-        let (_, mpu) = run_single(racer(), &efi, &inputs).unwrap();
-        assert_eq!(mpu.tier_counts(), (0, 1), "EFI loops must not fuse");
+        let inputs = [
+            ((0, 0, 0), (0..64).map(|i| i % 7).collect()),
+            ((0, 0, 1), vec![0; 64]),
+            ((0, 0, 2), vec![1; 64]),
+        ];
+        let mut mpu = assert_modes_agree(&efi, &inputs, 3);
+        assert_eq!(mpu.read_register(0, 0, 0).unwrap(), vec![0; 64]);
 
-        // Mid-body GETMASK reads predication out: also ineligible.
-        let getmask = asm("COMPUTE h0 v0\nADD r0 r1 r2\nGETMASK r3\nCOMPUTE_DONE");
-        let (_, mpu) = run_single(racer(), &getmask, &[]).unwrap();
-        assert_eq!(mpu.tier_counts(), (0, 1), "GETMASK bodies must not fuse");
+        // Mid-body GETMASK reads predication out as plane ops.
+        let getmask = asm("COMPUTE h0 v0\nCMPGT r0 r1\nSETMASK r63\nGETMASK r3\n\
+                           ADD r0 r1 r2\nUNMASK\nGETMASK r4\nCOMPUTE_DONE");
+        let inputs = [((0, 0, 0), (0..64).collect()), ((0, 0, 1), vec![31; 64])];
+        let mut mpu = assert_modes_agree(&getmask, &inputs, 5);
+        let want: Vec<u64> = (0..64).map(|i| u64::from(i > 31)).collect();
+        assert_eq!(mpu.read_register(0, 0, 3).unwrap(), want);
+        assert_eq!(mpu.read_register(0, 0, 4).unwrap(), vec![1; 64]);
+
+        // Subroutine call: JUMP and RETURN split the body.
+        let call = Program::from_instructions(vec![
+            Instruction::Compute { rfh: 0.into(), vrf: VrfId(0) },
+            Instruction::Jump { target: LineNum(4) },
+            Instruction::ComputeDone,
+            Instruction::Return,
+            Instruction::Unary { op: UnaryOp::Inc, rs: RegId(0), rd: RegId(1) },
+            Instruction::Return,
+        ]);
+        let mut mpu = assert_modes_agree(&call, &[((0, 0, 0), vec![41; 64])], 2);
+        assert_eq!(mpu.read_register(0, 0, 1).unwrap(), vec![42; 64]);
     }
 
     #[test]
-    fn per_instruction_fidelity_configs_fall_back() {
+    fn per_instruction_fidelity_configs_step() {
         let p = straight_line_program();
-        // Interpreted-recipe mode.
-        let mut cfg = racer();
-        cfg.interpret_recipes = true;
-        let (_, mpu) = run_single(cfg, &p, &[]).unwrap();
-        assert_eq!(mpu.tier_counts(), (0, 1), "interpreted mode must fall back");
         // Baseline offload mode.
         let (_, mpu) = run_single(SimConfig::baseline(DatapathKind::Racer), &p, &[]).unwrap();
-        assert_eq!(mpu.tier_counts(), (0, 1), "Baseline mode must fall back");
+        assert_eq!(mpu.tier_counts(), (0, 1), "Baseline mode must step");
         // Seeded fault injection (draws must happen in program order).
         let mut cfg = racer();
         cfg.fault = FaultConfig { seed: Some(3), ..Default::default() };
         let (_, mpu) = run_single(cfg, &p, &[]).unwrap();
-        assert_eq!(mpu.tier_counts(), (0, 1), "fault injection must fall back");
-        // A watchdog tighter than the body must still be able to fire.
+        assert_eq!(mpu.tier_counts(), (0, 1), "fault injection must step");
+        // The body is one 7-step segment (lines 1..=7) and COMPUTE_DONE. A
+        // watchdog tighter than the segment steps it, so it still fires on
+        // the exact fetch; one the segment fits under leaves it fused.
+        for (limit, line, tiers) in [(3, 4, (0, 1)), (6, 7, (0, 1)), (7, 8, (1, 0))] {
+            let mut cfg = racer();
+            cfg.recovery.watchdog_instructions = Some(limit);
+            let mut mpu = Mpu::new(cfg, MpuId(0));
+            let err = mpu.run(&p).unwrap_err();
+            assert!(
+                matches!(
+                    err.root_cause(),
+                    SimError::WatchdogTriggered { line: l, instructions } if *l == line && *instructions == limit
+                ),
+                "limit {limit}: {err}"
+            );
+            assert_eq!(mpu.tier_counts(), tiers, "limit {limit}");
+        }
         let mut cfg = racer();
-        cfg.recovery.watchdog_instructions = Some(3);
-        let err = run_single(cfg, &p, &[]).unwrap_err();
-        assert!(matches!(err.root_cause(), SimError::WatchdogTriggered { .. }));
+        cfg.recovery.watchdog_instructions = Some(8);
+        let (_, mpu) = run_single(cfg, &p, &[]).unwrap();
+        assert_eq!(mpu.tier_counts(), (1, 0));
         // An armed tracer needs per-instruction events.
         let log = EventLog::new();
         let (_, mpu) =
             run_single_traced(racer(), &p, &[], None, Some(Box::new(log.clone()))).unwrap();
-        assert_eq!(mpu.tier_counts(), (0, 1), "tracing must fall back");
+        assert_eq!(mpu.tier_counts(), (0, 1), "tracing must step");
         assert!(!log.is_empty());
     }
 
     #[test]
-    fn trace_tier_charges_identical_playback_refills() {
-        // Body of 10 instructions with a 4-entry playback buffer: the
-        // per-instruction tier refills in-line, the trace tier settles the
-        // same floor(10/4) = 2 refills in one batch. Stats must agree.
+    fn fused_segments_charge_identical_playback_refills() {
+        // Body of 10 instructions with a 4-entry playback buffer: stepping
+        // refills in-line, fused segments settle the same floor(10/4) = 2
+        // refills in one batch. Stats must agree.
         let body = "ADD r0 r1 r2\n".repeat(9);
         let p = asm(&format!("COMPUTE h0 v0\n{body}NOP\nCOMPUTE_DONE"));
         let mut on = racer();
@@ -2921,6 +2965,9 @@ mod tests {
         let (got, mpu) = run_single(on, &p, &[]).unwrap();
         assert_eq!(mpu.tier_counts(), (1, 0));
         assert_eq!(want, got);
+        assert_eq!(refills_through(11, 4), 2);
+        assert_eq!(refills_through(0, 0), 0);
+        assert_eq!(refills_through(3, 0), 3, "a zero-entry buffer refills every fetch");
     }
 
     /// A program with several top-level instructions (= several ensemble

@@ -21,9 +21,9 @@
 
 use mpu_isa::Instruction;
 use parking_lot::RwLock;
-use pum_backend::{CompiledRecipe, DatapathModel, EnsembleTrace, OptStats, Recipe, RecipeCtx};
+use pum_backend::{BodySegment, CompiledRecipe, DatapathModel, OptStats, Recipe, RecipeCtx};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A recipe cache entry: the synthesized micro-op sequence plus its
@@ -52,9 +52,9 @@ pub struct CachedRecipe {
 /// `(lanes, regs)` they were resolved for.
 #[derive(Debug, Default)]
 pub struct RecipePool {
-    templates: RwLock<HashMap<(RecipeCtx, u32), Arc<Recipe>>>,
+    templates: RwLock<HashMap<(RecipeCtx, u32), Template>>,
     compiled: RwLock<HashMap<CompiledKey, Arc<CompiledRecipe>>>,
-    traces: RwLock<HashMap<TraceKey, Arc<EnsembleTrace>>>,
+    segments: RwLock<HashMap<SegmentKey, Arc<BodySegment>>>,
     lookups: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -85,14 +85,24 @@ pub struct PoolStats {
     pub opt: OptStats,
 }
 
+/// A memoized template. `unprobed` marks one that segment fusion
+/// synthesized ahead of execution: its first counted probe is the one
+/// that synthesis served, so it counts as the miss — pool counters then
+/// read the same whether execution or fusion synthesized a template.
+#[derive(Debug)]
+struct Template {
+    recipe: Arc<Recipe>,
+    unprobed: AtomicBool,
+}
+
 /// Memo key for a compiled form: synthesis context, encoded instruction,
 /// and the VRF geometry `(lanes, regs)` it was resolved for.
 type CompiledKey = (RecipeCtx, u32, usize, usize);
 
-/// Memo key for a fused ensemble trace: synthesis context, the encoded
-/// ensemble body (collision-proof — the words *are* the body), and the
-/// VRF geometry `(lanes, regs)` it was fused for.
-type TraceKey = (RecipeCtx, Vec<u32>, usize, usize);
+/// Memo key for a fused body segment: synthesis context, the encoded
+/// segment (collision-proof — the words *are* the segment), and the VRF
+/// geometry `(lanes, regs)` it was fused for.
+type SegmentKey = (RecipeCtx, Vec<u32>, usize, usize);
 
 impl RecipePool {
     /// Creates an empty pool.
@@ -113,8 +123,8 @@ impl RecipePool {
 
     /// [`Self::get_or_build`] plus whether the template was already
     /// memoized (`true` = pool hit). When `count` is false the probe is
-    /// left out of the traffic counters (used by trace fusion, whose
-    /// probes are one-time and amortized behind the trace memo — counting
+    /// left out of the traffic counters (used by segment fusion, whose
+    /// probes are one-time and amortized behind the segment memo — counting
     /// them would make pool statistics depend on memo warmth rather than
     /// on the executed instruction stream).
     fn get_or_build_inner(
@@ -124,12 +134,16 @@ impl RecipePool {
         count: bool,
     ) -> Option<(Arc<Recipe>, bool)> {
         let key = (datapath.recipe_ctx(), instr.encode());
-        if let Some(recipe) = self.templates.read().get(&key) {
+        if let Some(t) = self.templates.read().get(&key) {
+            let hit = !(count
+                && t.unprobed.load(Ordering::Relaxed)
+                && t.unprobed.swap(false, Ordering::Relaxed));
             if count {
                 self.lookups.fetch_add(1, Ordering::Relaxed);
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                let counter = if hit { &self.hits } else { &self.misses };
+                counter.fetch_add(1, Ordering::Relaxed);
             }
-            return Some((Arc::clone(recipe), true));
+            return Some((Arc::clone(&t.recipe), hit));
         }
         // Synthesize outside the write lock; a racing thread may do the
         // same work, but the first insert wins and both get the same entry.
@@ -141,7 +155,9 @@ impl RecipePool {
             self.misses.fetch_add(1, Ordering::Relaxed);
         }
         let mut templates = self.templates.write();
-        Some((Arc::clone(templates.entry(key).or_insert(recipe)), false))
+        let t =
+            templates.entry(key).or_insert(Template { recipe, unprobed: AtomicBool::new(!count) });
+        Some((Arc::clone(&t.recipe), false))
     }
 
     /// Returns the recipe for `instr` together with its compiled form for
@@ -185,36 +201,37 @@ impl RecipePool {
         Some((CachedRecipe { recipe, compiled }, template_hit))
     }
 
-    /// Returns the fused [`EnsembleTrace`] for a straight-line ensemble
-    /// body on `datapath`, fusing and memoizing it on first use. Recipes
-    /// are resolved through the pool's template *and* compiled memos, so
-    /// fusion never re-synthesizes or re-compiles work the pool already
-    /// holds — and a preloaded, possibly deliberately corrupted, template
-    /// reaches the trace tier exactly as it reaches the per-instruction
-    /// tiers. Fusion probes stay out of the pool's traffic counters: they
-    /// are one-time (amortized behind this trace memo), so counting them
-    /// would make [`Self::stats`] depend on memo warmth instead of the
-    /// executed instruction stream. `None` when the body contains an
-    /// instruction the trace tier cannot fuse.
-    pub fn get_or_fuse_trace(
+    /// Returns the fused [`BodySegment`] for a run of body instructions on
+    /// `datapath` (see [`pum_backend::fuse_segment_with`]), fusing and
+    /// memoizing it on first use. Recipes are resolved through the pool's
+    /// template *and* compiled memos, so fusion never re-synthesizes or
+    /// re-compiles work the pool already holds — and a preloaded, possibly
+    /// deliberately corrupted, template reaches the fused segment exactly
+    /// as it reaches per-instruction execution. Fusion probes stay out of
+    /// the pool's traffic counters: they are one-time (amortized behind
+    /// this segment memo), so counting them would make [`Self::stats`]
+    /// depend on memo warmth instead of the executed instruction stream. A
+    /// template fusion synthesizes is counted as a miss at its first
+    /// executed probe instead.
+    pub fn get_or_fuse_segment(
         &self,
         datapath: &DatapathModel,
         body: &[Instruction],
-    ) -> Option<Arc<EnsembleTrace>> {
+    ) -> Arc<BodySegment> {
         let g = datapath.geometry();
         let words: Vec<u32> = body.iter().map(Instruction::encode).collect();
         let key = (datapath.recipe_ctx(), words, g.lanes_per_vrf, g.regs_per_vrf);
-        if let Some(trace) = self.traces.read().get(&key) {
-            return Some(Arc::clone(trace));
+        if let Some(segment) = self.segments.read().get(&key) {
+            return Arc::clone(segment);
         }
         // Fuse outside the write lock; a racing thread may duplicate the
         // work, but the first insert wins and both get the same entry.
-        let trace = Arc::new(pum_backend::fuse_ensemble_with(datapath, body, |dp, instr| {
+        let segment = Arc::new(pum_backend::fuse_segment_with(datapath, body, |dp, instr| {
             let (entry, _) = self.build_compiled(dp, instr, false)?;
             Some((entry.recipe, entry.compiled))
-        })?);
-        let mut traces = self.traces.write();
-        Some(Arc::clone(traces.entry(key).or_insert(trace)))
+        }));
+        let mut segments = self.segments.write();
+        Arc::clone(segments.entry(key).or_insert(segment))
     }
 
     /// Snapshot of the pool's lookup counters.
@@ -238,11 +255,12 @@ impl RecipePool {
     /// simulation uses the pool.
     pub fn preload(&self, ctx: RecipeCtx, instr: &Instruction, recipe: Recipe) {
         let word = instr.encode();
-        self.templates.write().insert((ctx, word), Arc::new(recipe));
+        let t = Template { recipe: Arc::new(recipe), unprobed: AtomicBool::new(false) };
+        self.templates.write().insert((ctx, word), t);
         self.compiled.write().retain(|&(c, w, _, _), _| !(c == ctx && w == word));
-        // Fused traces bake the instruction's compiled ops in; drop any
+        // Fused segments bake the instruction's compiled ops in; drop any
         // derived from the replaced template.
-        self.traces.write().retain(|(c, words, _, _), _| !(*c == ctx && words.contains(&word)));
+        self.segments.write().retain(|(c, words, _, _), _| !(*c == ctx && words.contains(&word)));
     }
 
     /// Number of memoized templates.
@@ -288,14 +306,14 @@ pub struct RecipeCache {
     capacity: usize,
     entries: HashMap<u32, (CachedRecipe, u64)>,
     pool: Option<Arc<RecipePool>>,
-    /// Fused ensemble traces keyed by the encoded body. Host-side only —
-    /// distinct from the architectural template table above: trace lookups
-    /// never advance the LRU clock or the hit/miss counters, exactly as a
-    /// shared [`RecipePool`] never does. Bodies per program are few, so
-    /// the memo is unbounded. `None` memoizes a body that failed to fuse.
-    traces: HashMap<Vec<u32>, Option<Arc<EnsembleTrace>>>,
-    /// Recipes synthesized as a by-product of pool-less fusion, kept so the
-    /// trace tier's replay probes (and later architectural misses) reuse
+    /// Fused body segments keyed by the encoded segment. Host-side only —
+    /// distinct from the architectural template table above: segment
+    /// lookups never advance the LRU clock or the hit/miss counters,
+    /// exactly as a shared [`RecipePool`] never does. Segments per program
+    /// are few, so the memo is unbounded.
+    segments: HashMap<Vec<u32>, Arc<BodySegment>>,
+    /// Recipes synthesized as a by-product of pool-less fusion, kept so
+    /// segment replay's probes (and later architectural misses) reuse
     /// them instead of lowering the instruction a second time. Like a
     /// shared [`RecipePool`], this is purely a host-side memo: miss
     /// accounting and the LRU clock are unchanged.
@@ -322,7 +340,7 @@ impl RecipeCache {
             capacity: capacity.max(1),
             entries: HashMap::new(),
             pool: None,
-            traces: HashMap::new(),
+            segments: HashMap::new(),
             synth_memo: HashMap::new(),
             ctx: None,
             opt: OptStats::default(),
@@ -363,7 +381,7 @@ impl RecipeCache {
         if self.ctx != Some(ctx) {
             if self.ctx.is_some() {
                 self.entries.clear();
-                self.traces.clear();
+                self.segments.clear();
                 self.synth_memo.clear();
             }
             self.ctx = Some(ctx);
@@ -414,29 +432,28 @@ impl RecipeCache {
         Some((entry, LookupOutcome { hit: false, pool }))
     }
 
-    /// Returns the fused [`EnsembleTrace`] for a straight-line ensemble
-    /// body, fusing (through the shared pool when attached) and memoizing
-    /// it on first use; `None` when the body cannot fuse. Host-side only:
-    /// never touches the architectural hit/miss/LRU state — the trace
-    /// tier still performs the real per-instruction [`Self::lookup_traced`]
-    /// probes while replaying, so template-table statistics are
-    /// bit-identical across execution tiers.
-    pub(crate) fn lookup_trace(
+    /// Returns the fused [`BodySegment`] for a run of body instructions,
+    /// fusing (through the shared pool when attached) and memoizing it on
+    /// first use. Host-side only: never touches the architectural
+    /// hit/miss/LRU state — segment replay still performs the real
+    /// per-instruction [`Self::lookup_traced`] probes, so template-table
+    /// statistics are bit-identical however a segment is stepped.
+    pub(crate) fn lookup_segment(
         &mut self,
         datapath: &DatapathModel,
         body: &[Instruction],
-    ) -> Option<Arc<EnsembleTrace>> {
+    ) -> Arc<BodySegment> {
         self.refresh_ctx(datapath);
         let words: Vec<u32> = body.iter().map(Instruction::encode).collect();
-        if let Some(memo) = self.traces.get(&words) {
-            return memo.clone();
+        if let Some(segment) = self.segments.get(&words) {
+            return Arc::clone(segment);
         }
-        let trace = match &self.pool {
-            Some(pool) => pool.get_or_fuse_trace(datapath, body),
+        let segment = match &self.pool {
+            Some(pool) => pool.get_or_fuse_segment(datapath, body),
             None => {
                 let synth_memo = &mut self.synth_memo;
                 let opt_stats = &mut self.opt;
-                pum_backend::fuse_ensemble_with(datapath, body, |dp, instr| {
+                Arc::new(pum_backend::fuse_segment_with(datapath, body, |dp, instr| {
                     let entry = match synth_memo.entry(instr.encode()) {
                         std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
                         std::collections::hash_map::Entry::Vacant(v) => {
@@ -450,12 +467,11 @@ impl RecipeCache {
                         }
                     };
                     Some((Arc::clone(&entry.recipe), Arc::clone(&entry.compiled)))
-                })
-                .map(Arc::new)
+                }))
             }
         };
-        self.traces.insert(words, trace.clone());
-        trace
+        self.segments.insert(words, Arc::clone(&segment));
+        segment
     }
 
     /// Optimizer attribution for pool-less synthesis this cache performed.
@@ -467,7 +483,7 @@ impl RecipeCache {
 
     /// Snapshots the *architectural* cache state: the template table with
     /// its LRU stamps, the synthesis context, and the hit/miss/clock
-    /// counters. The host-side memos (`traces`, `synth_memo`) are
+    /// counters. The host-side memos (`segments`, `synth_memo`) are
     /// deliberately excluded — they are invisible to the modeled hardware
     /// and rebuild on demand — and so is the pool attachment, which stays
     /// with the machine, not the checkpoint. Entries are `Arc`-shared, so
@@ -493,7 +509,7 @@ impl RecipeCache {
         if self.ctx != cp.ctx {
             // Host-side memos warmed under a different synthesis context
             // must not survive the restore.
-            self.traces.clear();
+            self.segments.clear();
             self.synth_memo.clear();
         }
         self.ctx = cp.ctx;
@@ -517,6 +533,15 @@ impl RecipeCache {
     /// control instructions are excluded.
     pub fn tick(&self) -> u64 {
         self.tick
+    }
+
+    /// Cached templates' encoded instruction words, least recently used
+    /// first — the order eviction would take them in.
+    pub fn lru_order(&self) -> Vec<u32> {
+        let mut entries: Vec<(u64, u32)> =
+            self.entries.iter().map(|(&word, (_, stamp))| (*stamp, word)).collect();
+        entries.sort_unstable();
+        entries.into_iter().map(|(_, word)| word).collect()
     }
 
     /// Number of cached templates.
@@ -783,6 +808,26 @@ mod tests {
         let mut plain = RecipeCache::new(4);
         let (_, o) = plain.lookup_traced(&dp, &add(2)).unwrap();
         assert_eq!(o, LookupOutcome { hit: false, pool: None });
+    }
+
+    #[test]
+    fn fusion_synthesized_templates_count_a_miss_at_their_first_probe() {
+        // Pool counters read the same whether segment fusion or a counted
+        // probe synthesized a template.
+        let dp = DatapathModel::racer();
+        let probed = RecipePool::new();
+        let fused = RecipePool::new();
+        fused.get_or_fuse_segment(&dp, &[add(2), add(3)]);
+        assert_eq!(fused.stats().lookups, 0, "fusion probes are not counted");
+        assert_eq!(fused.len(), 2);
+        for pool in [&probed, &fused] {
+            for rd in [2, 3, 2] {
+                pool.get_or_build(&dp, &add(rd)).unwrap();
+            }
+        }
+        assert_eq!(fused.stats(), probed.stats());
+        let s = fused.stats();
+        assert_eq!((s.lookups, s.hits, s.misses), (3, 1, 2));
     }
 
     #[test]

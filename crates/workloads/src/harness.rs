@@ -58,8 +58,8 @@ pub struct ChipRun {
     pub ezpim_statements: usize,
     /// Lowered ISA instruction count.
     pub isa_instructions: usize,
-    /// Execution-tier split of the wave simulation: `(trace, fallback)`
-    /// compute-ensemble counts (see [`mastodon::Mpu::tier_counts`]).
+    /// Execution-mode split of the wave simulation: `(fused, stepped)`
+    /// body-segment run counts (see [`mastodon::Mpu::tier_counts`]).
     /// Host-side telemetry; not an architectural counter.
     pub tiers: (u64, u64),
 }
@@ -564,11 +564,11 @@ mod tests {
         let log = EventLog::new();
         let traced = run_kernel_traced(dot.as_ref(), &config, 1 << 12, 42, &log).unwrap();
         let untraced = run_kernel(dot.as_ref(), &config, 1 << 12, 42).unwrap();
-        // An armed tracer forces per-instruction fallback so every retired
+        // An armed tracer forces per-instruction stepping so every retired
         // instruction is observable, so the (host-side, non-architectural)
         // tier split legitimately differs; everything architectural must
         // still be bit-identical.
-        assert_eq!(traced.tiers.0, 0, "an armed tracer must force per-instruction fallback");
+        assert_eq!(traced.tiers.0, 0, "an armed tracer must force per-instruction stepping");
         let mut normalized = traced.clone();
         normalized.tiers = untraced.tiers;
         assert_eq!(normalized, untraced, "tracing must not perturb the architectural ChipRun");

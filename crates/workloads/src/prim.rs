@@ -4,9 +4,9 @@
 //! columnar data, and an inclusive prefix-scan.
 //!
 //! Each kernel is registered in [`crate::all_kernels`], runs on all five
-//! substrates through all three execution tiers, and is verified
+//! substrates in both execution modes (stepped and fused), and is verified
 //! lane-exact against a plain-Rust oracle by the harness (and again by
-//! `tests/prim_differential.rs` across the full backend × tier ×
+//! `tests/prim_differential.rs` across the full backend × mode ×
 //! optimizer matrix). Every kernel is also expressible through the
 //! `dpapi` data-parallel frontend; `dpapi`'s tests cross-check the two
 //! implementations byte for byte.

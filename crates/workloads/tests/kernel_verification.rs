@@ -2,9 +2,10 @@
 //! Cache} × {MPU, Baseline}, each executed gate-exactly on the bit-plane
 //! substrate and checked lane-by-lane against golden references.
 
-use mastodon::SimConfig;
+use mastodon::{RecipePool, SimConfig};
 use pum_backend::DatapathKind;
-use workloads::{all_kernels, run_kernel, KernelGroup};
+use std::sync::Arc;
+use workloads::{all_kernels, run_kernel, run_kernel_pooled, KernelGroup};
 
 #[test]
 fn all_kernels_verify_on_racer_mpu() {
@@ -73,5 +74,48 @@ fn mpu_beats_baseline_on_control_heavy_kernels() {
             base.time_ns,
             mpu.time_ns
         );
+    }
+}
+
+/// Every body segment of every kernel runs fused under the MPU
+/// configuration on every substrate, with the `mpud` service's per-pass
+/// watchdog budget armed: loops, predication and mask readouts split bodies
+/// into segments but never force per-instruction stepping, and no segment
+/// comes close enough to the budget for the watchdog to step it.
+#[test]
+fn every_kernel_runs_fused_on_every_substrate() {
+    for kernel in all_kernels() {
+        for kind in DatapathKind::ALL {
+            let mut config = SimConfig::mpu(kind);
+            config.recovery.watchdog_instructions = Some(200_000);
+            let run = run_kernel(kernel.as_ref(), &config, 256, 17)
+                .unwrap_or_else(|e| panic!("{} on {kind:?}: {e}", kernel.name()));
+            assert!(run.verified, "{} on {kind:?}", kernel.name());
+            assert!(run.tiers.0 > 0, "{} on {kind:?}: no fused segment", kernel.name());
+            assert_eq!(run.tiers.1, 0, "{} on {kind:?}: a segment was stepped", kernel.name());
+        }
+    }
+}
+
+/// A kernel sweep leaves the same shared-pool counters whether its body
+/// segments ran fused or stepped: fusion synthesizes every template in
+/// both modes, and each template counts its miss at its first executed
+/// probe.
+#[test]
+fn pool_counters_do_not_depend_on_the_execution_mode() {
+    for kind in DatapathKind::ALL {
+        let pools = [false, true].map(|fused| {
+            let pool = Arc::new(RecipePool::new());
+            let mut config = SimConfig::mpu(kind);
+            config.trace_ensembles = fused;
+            for kernel in all_kernels() {
+                run_kernel_pooled(kernel.as_ref(), &config, 256, 17, Some(&pool))
+                    .unwrap_or_else(|e| panic!("{} on {kind:?}: {e}", kernel.name()));
+            }
+            pool.stats()
+        });
+        assert_eq!(pools[0], pools[1], "{kind:?}: stepped vs fused pool counters");
+        assert_eq!(pools[1].hits + pools[1].misses, pools[1].lookups);
+        assert!(pools[1].misses > 0, "{kind:?}: synthesis must count as misses");
     }
 }

@@ -1,5 +1,5 @@
 //! Differential verification of the PrIM kernel group: every kernel ×
-//! 5 substrates × 3 execution tiers × optimizer-{on,off} must match the
+//! 5 substrates × 2 execution modes × optimizer-{on,off} must match the
 //! plain-Rust oracle lane-exact (the harness compares every declared
 //! output register on every lane against the golden reference).
 //!
@@ -14,21 +14,19 @@ use proptest::prelude::*;
 use pum_backend::{DatapathKind, OptConfig};
 use workloads::{prim, run_kernel, Kernel};
 
-/// The three execution tiers, pinned the same way the conformance
+/// The two body-execution modes, pinned the same way the conformance
 /// differential suite pins them.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Tier {
-    Compiled,
-    Interpreted,
-    Trace,
+    Stepped,
+    Fused,
 }
 
-const TIERS: [Tier; 3] = [Tier::Compiled, Tier::Interpreted, Tier::Trace];
+const TIERS: [Tier; 2] = [Tier::Stepped, Tier::Fused];
 
 fn config(kind: DatapathKind, tier: Tier, optimize: bool) -> SimConfig {
     let mut config = SimConfig::mpu(kind);
-    config.interpret_recipes = tier == Tier::Interpreted;
-    config.trace_ensembles = tier == Tier::Trace;
+    config.trace_ensembles = tier == Tier::Fused;
     if !optimize {
         config.datapath = config.datapath.clone().with_opt_config(OptConfig::disabled());
     }
@@ -53,7 +51,7 @@ fn check(kernel: &dyn Kernel, config: &SimConfig, n: u64, seed: u64, label: &str
     assert!(run.verified, "{} [{label}]: lane mismatch vs oracle", kernel.name());
 }
 
-/// The full matrix: 7 kernels × 5 backends × 3 tiers × optimizer on/off.
+/// The full matrix: 7 kernels × 5 backends × 2 modes × optimizer on/off.
 #[test]
 fn full_matrix_matches_oracle() {
     let n = 256;
@@ -90,7 +88,7 @@ fn all_false_select_matches_oracle() {
 
 /// Duplicate scatter indices on every lane: the documented
 /// last-writer-wins resolution (pair 1 overwrites pair 0) must hold on
-/// every substrate and tier.
+/// every substrate and mode.
 #[test]
 fn duplicate_scatter_indices_are_last_writer_wins() {
     for kind in DatapathKind::ALL {
@@ -113,7 +111,7 @@ proptest! {
         optimize in any::<bool>(),
     ) {
         for kernel in prim_kernels() {
-            let config = config(DatapathKind::Racer, Tier::Compiled, optimize);
+            let config = config(DatapathKind::Racer, Tier::Stepped, optimize);
             check(kernel.as_ref(), &config, n, seed, "proptest");
         }
     }
